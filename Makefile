@@ -2,30 +2,29 @@
 #
 #   make             build + test
 #   make check       build + vet + test + race + fuzz-smoke + serve-smoke
-#                    (tier-1, everything CI runs)
+#                    + crossover + perfbench-vet (tier-1, everything CI runs)
 #   make verify      alias for check
 #   make fuzz-smoke  run each native fuzz target briefly (10s apiece)
 #   make serve-smoke build mdserve and drive it end to end over TCP
 #   make metrics     regenerate metrics.json + OPTGAP.md and sanity-check them
 #   make bench-json  regenerate BENCH_parallel.json on this host
 #   make bench-reduction  regenerate BENCH_reduction.json on this host
-#   make bench-sched      regenerate BENCH_sched.json on this host
 #   make bench-throughput regenerate BENCH_throughput.json on this host
 #   make bench-serve      regenerate BENCH_serve.json on this host
 #   make bench-opt        regenerate BENCH_opt.json on this host
 #   make opt-gap          regenerate the OPTGAP.md optimality-gap report
 #   make bench-repr       regenerate BENCH_repr.json on this host
 #   make crossover        regenerate the CROSSOVER.md backend frontier
+#   make perfbench-vet    vet the separate perfbench benchmark module
 #   make profile          CPU+heap pprof profiles of the throughput run
 #   make bench-compare    re-measure and gate against BENCH_reduction.json,
-#                         BENCH_sched.json, BENCH_throughput.json,
-#                         BENCH_serve.json, BENCH_opt.json and
-#                         BENCH_repr.json
+#                         BENCH_throughput.json, BENCH_serve.json,
+#                         BENCH_opt.json and BENCH_repr.json
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet bench bench-json bench-reduction bench-sched bench-throughput bench-serve bench-opt bench-repr crossover bench-compare bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
+.PHONY: all build test race vet bench bench-json bench-reduction bench-throughput bench-serve bench-opt bench-repr crossover perfbench-vet bench-compare bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
 
 all: build test
 
@@ -83,14 +82,6 @@ bench-json:
 bench-reduction:
 	$(GO) run ./cmd/paper -bench-reduction BENCH_reduction.json
 
-# Scheduler slot-scan wall time: the full IMS loop corpus per Table 6
-# representation, range-query scan (serial_ns, the gated column) vs the
-# naive per-cycle scan (parallel_ns). Commits the baseline bench-compare
-# gates against; regenerate deliberately when the scheduler or query
-# layer legitimately changes.
-bench-sched:
-	$(GO) run ./cmd/paper -bench-sched BENCH_sched.json
-
 # Streamed-corpus scheduler throughput: 100k stratified loops through
 # per-worker arenas, per representation x worker count. The headline
 # loops-per-second metric of the scheduling stack. Commits the baseline
@@ -134,11 +125,19 @@ bench-repr:
 # The committed representation-crossover frontier: query.Select's
 # deterministic calibration over real machines and seeded random strata.
 # No wall clock anywhere (counted probe work only), so regeneration on
-# any host must reproduce the committed bytes.
+# any host must reproduce the committed bytes; part of `make check` so
+# drift in the frontier fails CI.
 crossover:
 	$(GO) run ./cmd/paper -crossover CROSSOVER.md
 	@git diff --quiet -- CROSSOVER.md || { echo "CROSSOVER.md: regeneration changed the committed report" >&2; exit 1; }
 	@echo "CROSSOVER.md OK"
+
+# perfbench is its own module (replace repro => ../), so the root
+# `go build ./...` never compiles it. Vetting it here makes a change to
+# an API it uses (query.Module, sched, serve) fail `make check` instead
+# of the benchmark run.
+perfbench-vet:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./...
 
 # pprof profiles of the scheduler-throughput hot path — the run the
 # bit-parallel verdict scan was tuned against. Every -bench-* mode
@@ -149,17 +148,15 @@ profile:
 		-bench-workers 1 -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof -top cpu.pprof"
 
-# Non-tier-1 perf smoke: re-measure the per-stage, scheduler and
-# throughput reports and fail if anything regressed more than 20%
-# against the committed baselines. Wall-time gating is inherently
+# Non-tier-1 perf smoke: re-measure the per-stage, throughput, serve,
+# exact-scheduler and per-backend reports and fail if anything regressed
+# more than 20% against the committed baselines. Wall-time gating is inherently
 # host-sensitive, which is why this stays out of `make check`. The
 # throughput re-measurement covers workers 1 and 8 only (the scaling
 # endpoints); the committed baseline keeps the full 1,2,4,8 sweep.
 bench-compare:
 	$(GO) run ./cmd/paper -bench-reduction /tmp/BENCH_reduction.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_reduction.json -current /tmp/BENCH_reduction.current.json
-	$(GO) run ./cmd/paper -bench-sched /tmp/BENCH_sched.current.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_sched.json -current /tmp/BENCH_sched.current.json
 	$(GO) run ./cmd/paper -bench-throughput /tmp/BENCH_throughput.current.json -bench-workers 1,8
 	$(GO) run ./cmd/benchgate -baseline BENCH_throughput.json -current /tmp/BENCH_throughput.current.json -entries '-w[18]$$'
 	$(GO) run ./cmd/paper -bench-serve /tmp/BENCH_serve.current.json -bench-workers 1,8
@@ -189,7 +186,7 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -tags smoke -run '^TestServeSmoke$$' -count=1 ./internal/serve/
 
-check: build vet test race fuzz-smoke serve-smoke
+check: build vet test race fuzz-smoke serve-smoke crossover perfbench-vet
 
 verify: check
 

@@ -12,22 +12,15 @@ import (
 	"repro/internal/tables"
 )
 
-// benchEntry is one serial-vs-parallel wall-time comparison. The
-// scheduler report (BENCH_sched.json) reuses the schema with serial_ns
-// holding the range-scan corpus time, parallel_ns the naive per-cycle
-// scan, and the two per-decision probe statistics filled in; benchgate
-// ignores fields it does not know.
+// benchEntry is one serial-vs-parallel wall-time comparison; the other
+// bench reports reuse the schema, and benchgate ignores fields it does
+// not know.
 type benchEntry struct {
 	Name       string  `json:"name"`
 	Workers    int     `json:"workers"`
 	SerialNS   int64   `json:"serial_ns"`
 	ParallelNS int64   `json:"parallel_ns"`
 	Speedup    float64 `json:"speedup"`
-	// CheckEquivPerDecision is the naive-equivalent per-cycle probe count
-	// per scheduling decision; RangeWorkPerDecision the packed words or
-	// reserved-table cells the range scan examined per decision.
-	CheckEquivPerDecision float64 `json:"check_equiv_per_decision,omitempty"`
-	RangeWorkPerDecision  float64 `json:"range_work_per_decision,omitempty"`
 	// GoMaxProcs/NumCPU record the host shape this entry was measured
 	// under; 0 (older reports) means "use the report-level values".
 	// benchgate skips entries whose host shape differs from the baseline

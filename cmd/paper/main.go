@@ -71,7 +71,6 @@ func main() {
 		nParallel = flag.Int("parallel", 0, "worker-pool size for per-loop scheduling (0 = GOMAXPROCS, 1 = serial)")
 		benchJSON = flag.String("bench-json", "", "measure serial-vs-parallel wall time and write the report to this file (e.g. BENCH_parallel.json)")
 		benchRed  = flag.String("bench-reduction", "", "measure per-stage reduction wall time and write the report to this file (e.g. BENCH_reduction.json)")
-		benchSch  = flag.String("bench-sched", "", "time the IMS corpus per representation, range scan vs naive scan, and write the report to this file (e.g. BENCH_sched.json)")
 		benchThru = flag.String("bench-throughput", "", "stream a stratified corpus through per-worker scheduler arenas and write the throughput report to this file (e.g. BENCH_throughput.json)")
 		benchSrv  = flag.String("bench-serve", "", "load-test the mdserve handler stack (batch + session streams) and write the report to this file (e.g. BENCH_serve.json)")
 		optGap    = flag.String("opt-gap", "", "schedule the stratified corpus with the exact searcher vs IMS and write the optimality-gap report to this file (e.g. OPTGAP.md)")
@@ -134,13 +133,6 @@ func main() {
 	}
 	if *benchRed != "" {
 		if err := runBenchReduction(*benchRed, workers); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchSch != "" {
-		if err := runBenchSched(*benchSch, workers, *loops); err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)
 		}

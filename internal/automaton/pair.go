@@ -29,10 +29,10 @@ import (
 // so the work they charge is the states actually recomputed, not
 // O(horizon).
 //
-// PairModule implements query.Module and query.RangeQuerier for linear
-// schedules only (the paper notes that modulo schedules and assign&free
-// are where automata struggle most; AssignFree here falls back to
-// explicit overlap tests against the scheduled-instance list). It does
+// PairModule implements query.Module for linear schedules only (the
+// paper notes that modulo schedules and assign&free are where automata
+// struggle most; AssignFree here falls back to explicit overlap tests
+// against the scheduled-instance list). It does
 // not support dangling seeding: a dangling window would need up to
 // O(span²) extra interned states, which is exactly the blow-up the
 // reduced representations avoid — query.Select therefore excludes the
@@ -522,11 +522,7 @@ func (p *PairModule) StatesStored() int { return len(p.fIn) + len(p.rIn) }
 // policy bounds before admitting the FSA backend.
 func (p *PairModule) AutomatonStates() int { return p.fwd.NumStates() + p.rev.NumStates() }
 
-var (
-	_ query.Module       = (*PairModule)(nil)
-	_ query.RangeQuerier = (*PairModule)(nil)
-	_ query.AltGrouper   = (*PairModule)(nil)
-)
+var _ query.Module = (*PairModule)(nil)
 
 // StateBytes implements query.MemoryFootprint: the per-cycle forward and
 // reverse automaton states ("two states per operation must be stored" —

@@ -53,23 +53,19 @@ type Bitvector struct {
 	// backing table (mirror for modulo, reserved for linear) is non-zero.
 	// It is maintained on every table mutation and lets range scans answer
 	// "this candidate's whole word window is free" in O(1) instead of
-	// ANDing empty words. noSummary disables the fast path (differential
-	// tests pin it byte-identical to the plain word scan).
-	occ       []uint64
-	noSummary bool
+	// reading the rows of every usage.
+	occ []uint64
 
 	// rows backs the bit-parallel verdict scan (see verdict.go): one
 	// cycle-bitmap of rowW words per resource, flat. Modulo tables keep
 	// three images (bit p == busy(p mod II) for p in [0, 3*II)) so any
 	// window read stays in bounds; linear tables map bit t to cycle t and
 	// grow in step with reserved. Maintained by the same mutations that
-	// maintain mirror/reserved; noVerdict falls the range scans back to
-	// the per-candidate word scan. altVerdict is the FirstFreeWithAlt
+	// maintain mirror/reserved. altVerdict is the FirstFreeWithAlt
 	// scratch holding one verdict word per alternative (sized for the
 	// largest group at construction, so scans allocate nothing).
 	rows       []uint64
 	rowW       int
-	noVerdict  bool
 	altVerdict []uint64
 
 	// Alternative-union packed words for the fast check-with-alt path
@@ -139,12 +135,6 @@ func NewBitvector(e *resmodel.Expanded, k, wordBits, ii int) (*Bitvector, error)
 	b.altVerdict = make([]uint64, maxGroup)
 	return b, nil
 }
-
-// SetSummaryScan toggles the occupancy-summary fast path of the range
-// scans (enabled by default). Schedules and probe accounting are
-// byte-identical either way; the toggle exists for the differential
-// tests and for benchmarking the scan against the plain word loop.
-func (b *Bitvector) SetSummaryScan(on bool) { b.noSummary = !on }
 
 // MaxCyclesPerWord returns the densest legal packing for a machine with
 // numResources resources in a word of wordBits bits, or 0 if even one

@@ -2,21 +2,19 @@ package query
 
 import "fmt"
 
-// RangeQuerier is the optional range-query extension of Module: instead
-// of probing candidate cycles one Check at a time, a range query answers
-// "what is the first contention-free cycle in [lo, hi]?" in a single
-// call. Both reserved-table representations implement it — the bitvector
-// module word-parallel (one pass over the packed reservation words rules
-// out up to K candidate cycles at a time), the discrete module by
-// row-scanning past the conflicting usage instead of re-probing cycle by
-// cycle. Schedulers detect the capability by type assertion; modules
-// that only support per-cycle queries (the automaton PairModule) keep
-// the plain Module interface.
+// RangeQuerier is the range-query half of Module: instead of probing
+// candidate cycles one Check at a time, a range query answers "what is
+// the first contention-free cycle in [lo, hi]?" in a single call. The
+// bitvector module answers it bit-parallel (verdict.go: one row-window
+// read per usage rules 64 candidate cycles in or out), the discrete
+// module by row-scanning past the conflicting usage instead of
+// re-probing cycle by cycle, and the automaton PairModule with the
+// per-cycle loop its state transitions require.
 //
 // Both functions answer exactly what the equivalent naive loop over
 // Check/CheckWithAlt answers — same first feasible cycle, same
-// alternative-group tie-break — so a scheduler switching between the two
-// scans produces byte-identical schedules.
+// alternative-group tie-break — so a schedule never depends on how a
+// backend implements the scan.
 type RangeQuerier interface {
 	// FirstFree returns the smallest cycle in [lo, hi] at which op can be
 	// scheduled without contention, like probing Check(op, cycle) for
@@ -30,9 +28,9 @@ type RangeQuerier interface {
 }
 
 // FirstFreeNaive is the reference implementation of FirstFree: a plain
-// loop over Check. It is the semantics every RangeQuerier must match
-// (the differential tests pin this) and the fallback for modules without
-// range support. Work lands on the module's Check counters.
+// loop over Check. It is the semantics every RangeQuerier must match,
+// and the oracle the differential tests compare each backend's scan
+// against. Work lands on the module's Check counters.
 func FirstFreeNaive(m Module, op, lo, hi int) (int, bool) {
 	for t := lo; t <= hi; t++ {
 		if m.Check(op, t) {
@@ -43,7 +41,9 @@ func FirstFreeNaive(m Module, op, lo, hi int) (int, bool) {
 }
 
 // FirstFreeWithAltNaive is the reference implementation of
-// FirstFreeWithAlt: a plain loop over CheckWithAlt.
+// FirstFreeWithAlt: a plain loop over CheckWithAlt. Select's
+// calibration trace also answers its range steps through it, so every
+// backend is charged the same per-check currency.
 func FirstFreeWithAltNaive(m Module, origOp, lo, hi int) (int, int, bool) {
 	for t := lo; t <= hi; t++ {
 		if op, ok := m.CheckWithAlt(origOp, t); ok {
@@ -55,11 +55,10 @@ func FirstFreeWithAltNaive(m Module, origOp, lo, hi int) (int, int, bool) {
 
 // RangeProbes returns how many Check probes the naive FirstFree loop
 // would have issued: one per candidate up to and including the hit, or
-// the whole range on a miss. It is exported so range-capable backends
-// outside this package (the automaton pair module) account their
-// FirstFreeCycles with exactly the same arithmetic — the invariant that
-// keeps the paper's work-per-check metric scan-strategy- and
-// representation-independent.
+// the whole range on a miss. It is exported so backends outside this
+// package (the automaton pair module) account their FirstFreeCycles with
+// exactly the same arithmetic — the invariant that keeps the paper's
+// work-per-check metric scan-strategy- and representation-independent.
 func RangeProbes(lo, hi, cycle int, ok bool) int64 {
 	if ok {
 		return int64(cycle - lo + 1)
@@ -85,7 +84,7 @@ func RangeProbesAlt(lo, hi, cycle, altIdx, group int, ok bool) int64 {
 	return int64(hi-lo+1) * int64(group)
 }
 
-// --- Bitvector: word-parallel range scan ---
+// --- Bitvector: bit-parallel range scan (verdict.go) ---
 
 // FirstFree implements RangeQuerier.
 func (b *Bitvector) FirstFree(op, lo, hi int) (int, bool) {
@@ -110,13 +109,7 @@ func (b *Bitvector) firstFree(op, lo, hi int) (int, bool) {
 		return 0, false
 	}
 	hiEff := b.effectiveHi(lo, hi)
-	if !b.noVerdict {
-		if i := b.verdictFree(op, lo, hiEff-lo+1); i >= 0 {
-			return lo + i, true
-		}
-		return 0, false
-	}
-	if i := b.scanFree(op, lo, hiEff-lo+1); i >= 0 {
+	if i := b.verdictFree(op, lo, hiEff-lo+1); i >= 0 {
 		return lo + i, true
 	}
 	return 0, false
@@ -130,113 +123,6 @@ func (b *Bitvector) effectiveHi(lo, hi int) int {
 		return lo + b.ii - 1
 	}
 	return hi
-}
-
-// scanFree returns the offset in [0, L) of the first candidate cycle
-// t0+i at which op fits, or -1. The candidate at cycle t probes the
-// alignment t%k packing of op's table — the table pre-shifted t%k
-// cycles into its base word — so every probe is a word-aligned AND
-// against the reserved words starting at t/k: no per-candidate shifting
-// or division, and the word index and alignment advance incrementally
-// as the candidate slides. A candidate dies at its first conflicting
-// word, exactly like Check; each packed word ANDed is one work unit.
-//
-// Before the word loop, a candidate spanning two or more packed words
-// consults the occupancy summary: if every backing word in the
-// candidate's window is zero (occAny over [first, last] packed word),
-// the candidate is free without ANDing anything — one work unit is
-// charged for the summary probe (the same cost as the single AND a
-// one-word table pays) and the skip is counted in FirstFreeSkips. A
-// non-zero summary proves nothing about the candidate's specific bits,
-// so the scan falls through to the word loop; the summary probe then
-// overlaps with the first word's AND and is not charged separately.
-// The occ invariant (bit set iff word non-zero) makes the fast path
-// answer exactly what the word loop would: summary-free means every
-// word ANDs to zero, so schedules and FirstFreeCycles are untouched.
-func (b *Bitvector) scanFree(op, t0, L int) int {
-	pk := b.packed[op]
-	work := int64(0)
-	if b.ii > 0 {
-		mirror := b.mirror
-		s := b.modCycle(t0)
-		q, a := s/b.k, s%b.k
-		for i := 0; i < L; i++ {
-			pkA := pk[a]
-			if !b.noSummary && len(pkA) >= 2 &&
-				!b.occAny(q+pkA[0].Word, q+pkA[len(pkA)-1].Word) {
-				work++
-				b.ctr.FirstFreeWork += work
-				b.ctr.FirstFreeSkips++
-				return i
-			}
-			free := true
-			for _, pw := range pkA {
-				work++
-				// The mirror keeps cycles [0, 2*II) in sync, so a table
-				// reaching past II reads the second image — no wraparound.
-				if mirror[q+pw.Word]&pw.Bits != 0 {
-					free = false
-					break
-				}
-			}
-			if free {
-				b.ctr.FirstFreeWork += work
-				return i
-			}
-			if s++; s == b.ii {
-				s, q, a = 0, 0, 0
-			} else if a++; a == b.k {
-				a = 0
-				q++
-			}
-		}
-		b.ctr.FirstFreeWork += work
-		return -1
-	}
-	reserved := b.reserved
-	q, a := t0/b.k, t0%b.k
-	for i := 0; i < L; i++ {
-		pkA := pk[a]
-		if !b.noSummary && len(pkA) >= 2 {
-			loW := q + pkA[0].Word
-			hiW := q + pkA[len(pkA)-1].Word
-			if hiW >= len(reserved) {
-				hiW = len(reserved) - 1
-			}
-			// Words at or beyond the table end are trivially free, so a
-			// window starting past the end skips without consulting occ.
-			if loW > hiW || !b.occAny(loW, hiW) {
-				work++
-				b.ctr.FirstFreeWork += work
-				b.ctr.FirstFreeSkips++
-				return i
-			}
-		}
-		free := true
-		for _, pw := range pkA {
-			work++
-			wi := q + pw.Word
-			if wi >= len(reserved) {
-				// Words are sorted: this word and every later one lie
-				// beyond the reserved table, where every cycle is free.
-				break
-			}
-			if reserved[wi]&pw.Bits != 0 {
-				free = false
-				break
-			}
-		}
-		if free {
-			b.ctr.FirstFreeWork += work
-			return i
-		}
-		if a++; a == b.k {
-			a = 0
-			q++
-		}
-	}
-	b.ctr.FirstFreeWork += work
-	return -1
 }
 
 // FirstFreeWithAlt implements RangeQuerier.
@@ -263,49 +149,19 @@ func (b *Bitvector) firstFreeAlt(group []int, lo, hi int) (int, int, int, bool) 
 		return -1, 0, 0, false
 	}
 	hiEff := b.effectiveHi(lo, hi)
-	// Candidates are processed in chunks so a group whose early
-	// alternatives are congested does not scan the whole range before a
-	// later alternative gets a chance near lo.
+	// One chunk is one verdict word per alternative: 64 candidates.
 	const chunk = 64
 	for t0 := lo; t0 <= hiEff; t0 += chunk {
 		L := chunk
 		if t0+L-1 > hiEff {
 			L = hiEff - t0 + 1
 		}
-		if !b.noVerdict {
-			if op, off, ai, ok := b.verdictAltChunk(group, t0, L); ok {
-				return op, t0 + off, ai, true
-			}
-			continue
-		}
-		// The earliest free cycle wins, ties broken by alternative-group
-		// order exactly as the naive CheckWithAlt loop breaks them. Since
-		// an earlier alternative keeps a tied cycle, each later
-		// alternative only needs the candidates strictly before the best
-		// hit so far — its share of the chunk shrinks as hits are found.
-		best, bestAlt, bestOp := -1, -1, -1
-		limit := L
-		for ai, op := range group {
-			if limit == 0 {
-				break
-			}
-			if b.c.selfConf[op] {
-				b.ctr.FirstFreeWork++ // the probe that discovers the fold
-				continue
-			}
-			if i := b.scanFree(op, t0, limit); i >= 0 {
-				best, bestAlt, bestOp = i, ai, op
-				limit = i
-			}
-		}
-		if best >= 0 {
-			return bestOp, t0 + best, bestAlt, true
+		if op, off, ai, ok := b.verdictAltChunk(group, t0, L); ok {
+			return op, t0 + off, ai, true
 		}
 	}
 	return -1, 0, 0, false
 }
-
-var _ RangeQuerier = (*Bitvector)(nil)
 
 // --- Discrete: row-scan range search ---
 
@@ -478,5 +334,3 @@ func (d *Discrete) firstFreeAlt(group []int, lo, hi int) (int, int, int, bool) {
 	}
 	return -1, 0, 0, false
 }
-
-var _ RangeQuerier = (*Discrete)(nil)

@@ -115,8 +115,8 @@ func (m *ModuleObs) OnFirstFree(work, skips int64) {
 }
 
 // OnVerdictWords records verdict words built by the bit-parallel range
-// scan (query.<kind>.firstfree.verdict_words). Zero deltas — the word
-// scan, the naive loop, discrete modules — record nothing.
+// scan (query.<kind>.firstfree.verdict_words). Zero deltas — discrete
+// and automaton modules — record nothing.
 func (m *ModuleObs) OnVerdictWords(n int64) {
 	if m == nil || n == 0 {
 		return

@@ -35,8 +35,12 @@ import (
 
 // Module is the contention query interface used by schedulers. Operations
 // are identified by their expanded-op index; instances of a scheduled
-// operation are identified by a caller-chosen non-negative id.
+// operation are identified by a caller-chosen non-negative id. Every
+// module answers range queries (RangeQuerier) and exposes alternative
+// groups (AltGrouper), so schedulers have one slot-search path.
 type Module interface {
+	RangeQuerier
+	AltGrouper
 	// Check reports whether op can be scheduled at cycle without resource
 	// contention against the current partial schedule.
 	Check(op, cycle int) bool
@@ -77,26 +81,25 @@ type Counters struct {
 	FreeCalls, FreeWork             int64
 	CheckWithAltCalls               int64
 	// FirstFreeCalls and FirstFreeWithAltCalls count range queries
-	// (RangeQuerier); FirstFreeWork is their work units — packed words or
-	// reserved-table cells examined, exactly like CheckWork.
+	// (RangeQuerier); FirstFreeWork is their work units — row windows,
+	// reserved-table cells or automaton probes examined, like CheckWork.
 	// FirstFreeCycles is the number of per-cycle check probes a naive
 	// Check/CheckWithAlt loop would have issued to answer the same range
 	// query (candidate cycles scanned times alternatives tried), so
-	// (CheckWork+FirstFreeWork)/(CheckCalls+FirstFreeCycles) remains the
-	// paper's res-uses/word-uses-per-check metric whichever scan the
-	// scheduler uses.
+	// CheckCalls+FirstFreeCycles is the same probe count whether a
+	// caller issues range queries or the per-cycle loop.
 	FirstFreeCalls, FirstFreeWork int64
 	FirstFreeCycles               int64
 	FirstFreeWithAltCalls         int64
 	// FirstFreeSkips counts candidate cycles a range scan answered "free"
 	// through the occupancy summary bitmap alone — one summary probe (one
-	// work unit) instead of one AND per packed reservation word. Always 0
-	// for discrete modules and with the summary scan disabled.
+	// work unit) instead of one row-window read per usage. Always 0 for
+	// discrete and automaton modules.
 	FirstFreeSkips int64
 	// FirstFreeVerdictWords counts the 64-candidate verdict words built by
 	// the bit-parallel range scan (see verdict.go) — the scan's throughput
 	// currency, one word per up-to-64 candidate cycles ruled in or out.
-	// Always 0 for discrete modules and with the verdict scan disabled.
+	// Always 0 for discrete and automaton modules.
 	FirstFreeVerdictWords int64
 	// ModeTransitions counts optimistic-to-update transitions of the
 	// bitvector assign&free (always 0 for discrete modules).
@@ -210,14 +213,13 @@ func checkWithAlt(m Module, e *resmodel.Expanded, origOp, cycle int) (int, bool)
 	return -1, false
 }
 
-// AltGrouper is the optional module extension that exposes the
-// alternative group of an original (unexpanded) operation: the
-// expanded-op indices a scheduler may branch over when placing that
-// operation, in the canonical group order CheckWithAlt probes them.
-// Every module in this package and automaton.PairModule implement it;
-// schedulers that branch per alternative (IMS re-checking a group,
-// sched.Optimal enumerating candidates) assert for it instead of
-// re-deriving the group from the expanded machine.
+// AltGrouper exposes the alternative group of an original (unexpanded)
+// operation: the expanded-op indices a scheduler may branch over when
+// placing that operation, in the canonical group order CheckWithAlt
+// probes them. It is part of Module; schedulers that branch per
+// alternative (IMS forced placement, sched.Optimal enumerating
+// candidates) read the group from the module instead of re-deriving it
+// from the expanded machine.
 type AltGrouper interface {
 	AltGroupOf(origOp int) []int
 }

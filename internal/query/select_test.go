@@ -55,6 +55,22 @@ func TestSelectAutoWinnerIsCheapest(t *testing.T) {
 	}
 }
 
+// TestSelectAutoPicksBitvectorOnReducedCydra5 pins the choice the
+// streamed IMS path relies on: on the 64-cycle-word reduction of the
+// Cydra 5, "auto" serves the bitvector at every modulo II from 1 to 40.
+func TestSelectAutoPicksBitvectorOnReducedCydra5(t *testing.T) {
+	e := reducedFor(t, "cydra5")
+	for ii := 1; ii <= 40; ii++ {
+		sel, err := query.Select(e, query.Policy{Representation: "auto", II: ii})
+		if err != nil {
+			t.Fatalf("II %d: Select(auto): %v", ii, err)
+		}
+		if sel.Backend != "bitvector" {
+			t.Errorf("II %d: auto picked %q, want bitvector (calibration %+v)", ii, sel.Backend, sel.Cal.Backends)
+		}
+	}
+}
+
 // TestSelectDeterministic pins that calibration is pure: repeated
 // selection over the same description yields the same winner and a
 // cache hit (pointer-identical calibration).

@@ -2,18 +2,17 @@ package query
 
 import "math/bits"
 
-// Bit-parallel candidate-verdict scans.
+// Bit-parallel candidate-verdict scans: the bitvector module's one
+// range-scan path.
 //
-// The word-parallel scan (scanFree) still walks candidate cycles one at a
-// time: each candidate ANDs its pre-shifted packed table against the
-// reserved words and dies at the first conflict. The verdict scan flips
-// the axes. Alongside the packed table the module maintains rows — one
-// plain cycle-bitmap per resource, bit t set iff the resource is busy at
-// cycle t — and answers 64 candidates per usage with one unaligned
-// 64-bit window read: for a scan starting at t0, resource r busy at
-// candidate t0+i iff rows[r] bit (t0+u.Cycle)+i is set. ORing the window
-// reads of all usages yields a verdict word whose bit i is set iff
-// candidate t0+i conflicts; the first free candidate is one
+// Instead of probing candidate cycles one at a time, the scan reads
+// across them. Alongside the packed table the module maintains rows —
+// one plain cycle-bitmap per resource, bit t set iff the resource is
+// busy at cycle t — and answers 64 candidates per usage with one
+// unaligned 64-bit window read: for a scan starting at t0, resource r
+// busy at candidate t0+i iff rows[r] bit (t0+u.Cycle)+i is set. ORing
+// the window reads of all usages yields a verdict word whose bit i is
+// set iff candidate t0+i conflicts; the first free candidate is one
 // TrailingZeros64 of its complement.
 //
 // Modulo tables replicate each busy column into three images — bit p set
@@ -23,7 +22,7 @@ import "math/bits"
 // two-image mirror plays for single-candidate windows. Linear tables map
 // bit t to cycle t directly and grow in step with the reserved words;
 // reads beyond the maintained width clamp to zero, matching the
-// "beyond the table is free" semantics of the packed scan.
+// "beyond the table is free" semantics of Check.
 //
 // The rows slab is redundant state derived from the same mutations that
 // maintain mirror/reserved (every write goes through orCycle/andNotCycle
@@ -33,19 +32,11 @@ import "math/bits"
 //
 // Accounting: the verdict decides where to stop, the centralized
 // RangeProbes/RangeProbesAlt arithmetic decides what to charge, so
-// FirstFreeCycles and schedules are byte-identical to the naive loop and
-// the word scan. FirstFreeWork remains the scan's own measured work: one
-// unit per usage-window read, one per self-conflict discovery, one per
-// occupancy-summary skip — and FirstFreeVerdictWords counts the verdict
-// words built.
-
-// SetVerdictScan toggles the bit-parallel verdict path of the range scans
-// (enabled by default). Schedules and probe accounting are byte-identical
-// either way; disabling it falls back to the per-candidate word scan,
-// which the differential tests and benchmarks use as an oracle. The rows
-// slab is maintained regardless, so the toggle may be flipped at any
-// point in a module's life.
-func (b *Bitvector) SetVerdictScan(on bool) { b.noVerdict = !on }
+// FirstFreeCycles and schedules are byte-identical to the naive
+// per-cycle loop. FirstFreeWork remains the scan's own measured work:
+// one unit per usage-window read, one per self-conflict discovery, one
+// per occupancy-summary skip — and FirstFreeVerdictWords counts the
+// verdict words built.
 
 // maskN returns a mask of the low n bits, n in [1, 64].
 func maskN(n int) uint64 {
@@ -143,17 +134,16 @@ func (b *Bitvector) flushVerdict(work, words, skips int64) {
 	b.ctr.FirstFreeSkips += skips
 }
 
-// verdictFree is the bit-parallel scanFree: it returns the offset in
-// [0, L) of the first candidate cycle t0+i at which op fits, or -1,
-// processing candidates 64 per verdict word. Callers guarantee op is not
-// self-conflicting and (for modulo tables) L <= II, so every row offset a
-// block reads stays under 3*II.
+// verdictFree returns the offset in [0, L) of the first candidate cycle
+// t0+i at which op fits, or -1, processing candidates 64 per verdict
+// word. Callers guarantee op is not self-conflicting and (for modulo
+// tables) L <= II, so every row offset a block reads stays under 3*II.
 //
 // Each block first consults the occupancy summary on the block's first
-// candidate window (ops with at least two usages, summary enabled): an
-// all-zero window proves that candidate free, so the block answers its
-// first candidate for one work unit — strictly cheaper than the >= 2
-// window reads the verdict would cost — and counts a FirstFreeSkips.
+// candidate window (ops with at least two usages): an all-zero window
+// proves that candidate free, so the block answers its first candidate
+// for one work unit — strictly cheaper than the >= 2 window reads the
+// verdict would cost — and counts a FirstFreeSkips.
 // Otherwise one 64-bit window read per usage builds the verdict word.
 func (b *Bitvector) verdictFree(op, t0, L int) int {
 	uses := b.c.uses[op]
@@ -169,7 +159,7 @@ func (b *Bitvector) verdictFree(op, t0, L int) int {
 		if n > 64 {
 			n = 64
 		}
-		if !b.noSummary && len(uses) >= 2 && b.windowEmpty(s, maxUse) {
+		if len(uses) >= 2 && b.windowEmpty(s, maxUse) {
 			work++
 			skips++
 			found = blk
@@ -220,7 +210,7 @@ func (b *Bitvector) verdictAltChunk(group []int, t0, n int) (int, int, int, bool
 			continue
 		}
 		uses := b.c.uses[o]
-		if !b.noSummary && len(uses) >= 2 && b.windowEmpty(base, b.c.maxUse[o]) {
+		if len(uses) >= 2 && b.windowEmpty(base, b.c.maxUse[o]) {
 			work++
 			skips++
 			b.flushVerdict(work, vw, skips)

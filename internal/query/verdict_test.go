@@ -94,12 +94,13 @@ func TestVerdictRowsInvariant(t *testing.T) {
 	}
 }
 
-// TestQuickVerdictThreeWay is the satellite's testing/quick differential:
-// for arbitrary seeds the bit-parallel verdict scan, the word-at-a-time
-// scan (SetVerdictScan(false)) and the naive per-cycle reference loop
-// must return identical answers AND charge identical FirstFreeCycles,
-// over random machines, linear and modulo tables, and (on linear
-// tables) schedules seeded with dangling boundary requirements.
+// TestQuickVerdictThreeWay is the testing/quick differential of the
+// range-scan implementations: for arbitrary seeds the bitvector's
+// bit-parallel verdict scan, the discrete row scan and the naive
+// per-cycle reference loop must return identical answers, and both
+// scans must charge FirstFreeCycles equal to the Check probes the naive
+// loop issued, over random machines, linear and modulo tables, and (on
+// linear tables) schedules seeded with dangling boundary requirements.
 func TestQuickVerdictThreeWay(t *testing.T) {
 	prop := func(machineSeed int64, iiSeed, opSeed, loSeed, widthSeed uint8, fill int64) bool {
 		e := resmodel.Random(rand.New(rand.NewSource(machineSeed)), resmodel.DefaultRandomConfig()).Expand()
@@ -112,22 +113,18 @@ func TestQuickVerdictThreeWay(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		words, err := NewBitvector(e, k, 64, ii)
-		if err != nil {
-			return false
-		}
-		words.SetVerdictScan(false)
+		rows := NewDiscrete(e, ii)
 		if ii == 0 && fill%3 == 0 {
 			ds := []Dangling{{Op: int(opSeed) % len(e.Ops), IssueCycle: -1 - int(iiSeed)%2, ID: 700}}
 			if err := verdict.SeedDangling(ds); err != nil {
 				return true // colliding boundary requirements; nothing to compare
 			}
-			if err := words.SeedDangling(ds); err != nil {
+			if err := rows.SeedDangling(ds); err != nil {
 				return false
 			}
 		}
 		fillRandom(rand.New(rand.NewSource(fill)), verdict, e, ii, 20)
-		fillRandom(rand.New(rand.NewSource(fill)), words, e, ii, 20)
+		fillRandom(rand.New(rand.NewSource(fill)), rows, e, ii, 20)
 
 		op := int(opSeed) % len(e.Ops)
 		lo := int(loSeed) % 40
@@ -135,30 +132,34 @@ func TestQuickVerdictThreeWay(t *testing.T) {
 			lo -= 20
 		}
 		hi := lo + int(widthSeed)%25
+		c0 := verdict.ctr.CheckCalls
 		wantCycle, wantOK := FirstFreeNaive(verdict, op, lo, hi)
+		probes := verdict.ctr.CheckCalls - c0
 
 		v0 := verdict.ctr.FirstFreeCycles
 		gotV, okV := verdict.FirstFree(op, lo, hi)
-		w0 := words.ctr.FirstFreeCycles
-		gotW, okW := words.FirstFree(op, lo, hi)
-		if okV != wantOK || okW != wantOK || (wantOK && (gotV != wantCycle || gotW != wantCycle)) {
+		r0 := rows.ctr.FirstFreeCycles
+		gotR, okR := rows.FirstFree(op, lo, hi)
+		if okV != wantOK || okR != wantOK || (wantOK && (gotV != wantCycle || gotR != wantCycle)) {
 			return false
 		}
-		if verdict.ctr.FirstFreeCycles-v0 != words.ctr.FirstFreeCycles-w0 {
+		if verdict.ctr.FirstFreeCycles-v0 != probes || rows.ctr.FirstFreeCycles-r0 != probes {
 			return false
 		}
 
 		origOp := int(opSeed) % len(e.AltGroup)
+		c0 = verdict.ctr.CheckCalls
 		wantAlt, wantC2, wantOK2 := FirstFreeWithAltNaive(verdict, origOp, lo, hi)
+		probes = verdict.ctr.CheckCalls - c0
 		v0 = verdict.ctr.FirstFreeCycles
 		altV, cV, okV2 := verdict.FirstFreeWithAlt(origOp, lo, hi)
-		w0 = words.ctr.FirstFreeCycles
-		altW, cW, okW2 := words.FirstFreeWithAlt(origOp, lo, hi)
-		if okV2 != wantOK2 || okW2 != wantOK2 ||
-			(wantOK2 && (cV != wantC2 || cW != wantC2 || altV != wantAlt || altW != wantAlt)) {
+		r0 = rows.ctr.FirstFreeCycles
+		altR, cR, okR2 := rows.FirstFreeWithAlt(origOp, lo, hi)
+		if okV2 != wantOK2 || okR2 != wantOK2 ||
+			(wantOK2 && (cV != wantC2 || cR != wantC2 || altV != wantAlt || altR != wantAlt)) {
 			return false
 		}
-		return verdict.ctr.FirstFreeCycles-v0 == words.ctr.FirstFreeCycles-w0
+		return verdict.ctr.FirstFreeCycles-v0 == probes && rows.ctr.FirstFreeCycles-r0 == probes
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -135,9 +135,7 @@ func FuzzOptimalNeverInvalid(f *testing.F) {
 				t.Fatalf("schedule fails revalidation: %v\nresult %+v\nmachine %+v\ngraph %+v", err, r, m, g)
 			}
 		}
-		cfgN := cfg
-		cfgN.NaiveScan = true
-		if rn := Optimal(g, m, factory, cfgN); !reflect.DeepEqual(rn, r) {
+		if rn := Optimal(g, m, naiveFactory(factory), cfg); !reflect.DeepEqual(rn, r) {
 			t.Fatalf("naive scan diverges\nrange: %+v\nnaive: %+v\nmachine %+v\ngraph %+v", r, rn, m, g)
 		}
 		ims := Schedule(g, m, factory, cfg.IMS)

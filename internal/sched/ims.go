@@ -38,12 +38,6 @@ type Config struct {
 	BudgetRatio int
 	// MaxII caps the initiation-interval search; 0 derives a safe cap.
 	MaxII int
-	// NaiveScan disables the range-query slot scan even when the module
-	// supports it, probing candidate cycles one CheckWithAlt at a time.
-	// Schedules are byte-identical either way (the range scan preserves
-	// probe order exactly); the flag exists for differential tests and
-	// for benchmarking the scan strategies against each other.
-	NaiveScan bool
 }
 
 // DefaultConfig returns the paper's configuration (budget 6N).
@@ -80,14 +74,14 @@ type Result struct {
 	// ChecksPerDecision records, for every scheduling decision, how many
 	// check queries the time-slot search issued (Section 8: "on average,
 	// the scheduler issues 4.74 check queries per scheduling decision").
-	// Under the range-query scan this counts the per-cycle probes the
-	// equivalent naive loop would have issued, so the statistic is
-	// identical whichever scan strategy answered the search.
+	// The range-query scan charges the per-cycle probes the equivalent
+	// naive loop would have issued, so the statistic keeps the paper's
+	// per-check meaning.
 	ChecksPerDecision []int
 	// ScanWidths records, for every scheduling decision, how many
 	// candidate cycles the time-slot search covered: slot-estart+1 when a
 	// slot was found, the full II-wide window otherwise. A width above 1
-	// is a window the word-parallel scan can rule out in fewer passes
+	// is a window the bit-parallel range scan rules out in fewer passes
 	// than the naive per-cycle probe.
 	ScanWidths []int
 }
@@ -253,7 +247,7 @@ func scheduleInto(res *Result, g *ddg.Graph, m *resmodel.Machine, moduleOf Modul
 			break
 		}
 	}
-	s.res, s.mod, s.rq = nil, nil, nil // drop per-loop references
+	s.res, s.mod = nil, nil // drop per-loop references
 }
 
 func totalDelay(g *ddg.Graph) int {
@@ -276,7 +270,6 @@ type state struct {
 
 	ii        int
 	mod       query.Module
-	rq        query.RangeQuerier // non-nil when mod supports range scans
 	height    []int
 	time      []int // -1 = unscheduled
 	alt       []int
@@ -291,10 +284,6 @@ func (s *state) attempt(ii int, mod query.Module) bool {
 	g := s.g
 	n := len(g.Nodes)
 	s.ii, s.mod = ii, mod
-	s.rq = nil
-	if !s.cfg.NaiveScan {
-		s.rq, _ = mod.(query.RangeQuerier)
-	}
 
 	// Every operation must have at least one alternative that does not
 	// fold onto itself at this II.
@@ -363,15 +352,12 @@ func schedulableAlt(mod query.Module, origOp int) (int, bool) {
 	// The module's CheckWithAlt iterates the alt group, but for forced
 	// placement we need an alternative regardless of current contention;
 	// probe via Schedulable on the group.
-	if ag, ok := mod.(query.AltGrouper); ok {
-		for _, op := range ag.AltGroupOf(origOp) {
-			if mod.Schedulable(op) {
-				return op, true
-			}
+	for _, op := range mod.AltGroupOf(origOp) {
+		if mod.Schedulable(op) {
+			return op, true
 		}
-		return -1, false
 	}
-	panic("sched: module does not expose alternative groups")
+	return -1, false
 }
 
 // push inserts v into the unscheduled set.
@@ -418,26 +404,11 @@ func (s *state) earlyStart(v int) int {
 }
 
 // findTimeSlot searches [minT, maxT] for the first contention-free slot
-// for v or any of its alternatives. When the module supports range
-// queries the whole window is answered in one word-parallel (or
-// row-scan) call; the fallback probes one CheckWithAlt per cycle. Both
-// return the same first feasible cycle with the same alternative-group
-// tie-break, so the choice of scan never changes a schedule.
+// for v or any of its alternatives with one range query, which answers
+// exactly what a per-cycle CheckWithAlt loop would.
 func (s *state) findTimeSlot(v, minT, maxT int) (int, int, bool) {
-	origOp := s.g.Nodes[v].Op
-	if s.rq != nil {
-		op, t, ok := s.rq.FirstFreeWithAlt(origOp, minT, maxT)
-		if !ok {
-			return 0, 0, false
-		}
-		return t, op, true
-	}
-	for t := minT; t <= maxT; t++ {
-		if op, ok := s.mod.CheckWithAlt(origOp, t); ok {
-			return t, op, true
-		}
-	}
-	return 0, 0, false
+	op, t, ok := s.mod.FirstFreeWithAlt(s.g.Nodes[v].Op, minT, maxT)
+	return t, op, ok
 }
 
 // place schedules v at time t using expanded op altOp, displacing

@@ -362,8 +362,8 @@ func TestAttemptDecisionsRecorded(t *testing.T) {
 }
 
 // TestRangeScanMatchesNaiveScan pins the tentpole guarantee on the full
-// 1327-loop corpus: the word-parallel range scan and the naive
-// per-cycle CheckWithAlt scan produce byte-identical schedules — same
+// 1327-loop corpus: the range scan and the naive per-cycle
+// CheckWithAlt scan (naiveModule) produce byte-identical schedules — same
 // II, same placements, same alternatives, same per-decision statistics
 // — at workers 1 and 8, on both reserved-table representations.
 func TestRangeScanMatchesNaiveScan(t *testing.T) {
@@ -386,7 +386,7 @@ func TestRangeScanMatchesNaiveScan(t *testing.T) {
 	}
 	for name, f := range factories {
 		factory := func(int) ModuleFactory { return f }
-		naive := ScheduleBatch(loops, m, factory, Config{BudgetRatio: 6, NaiveScan: true}, 1)
+		naive := ScheduleBatch(loops, m, func(int) ModuleFactory { return naiveFactory(f) }, Config{BudgetRatio: 6}, 1)
 		for _, workers := range []int{1, 8} {
 			ranged := ScheduleBatch(loops, m, factory, Config{BudgetRatio: 6}, workers)
 			for i, r := range ranged {
@@ -422,16 +422,16 @@ func TestRangeScanMatchesNaiveScan(t *testing.T) {
 }
 
 // benchmarkIMSCorpus schedules a slice of the loop corpus on the
-// reduced 3-cycle-word bitvector — the BENCH_sched.json headline pair,
-// here as a Go benchmark so the two scan strategies can be compared
-// under -benchtime averaging and profiled with -cpuprofile.
-func benchmarkIMSCorpus(b *testing.B, cfg Config) {
+// reduced 3-cycle-word bitvector, so the range scan and the naive
+// per-cycle oracle can be compared under -benchtime averaging and
+// profiled with -cpuprofile. wrap builds the module factory.
+func benchmarkIMSCorpus(b *testing.B, wrap func(ModuleFactory) ModuleFactory) {
 	m := machines.Cydra5()
 	red := core.Reduce(m.Expand(), core.Objective{Kind: core.KCycleWord, K: 3})
 	if err := red.Verify(); err != nil {
 		b.Fatal(err)
 	}
-	factory := bitvecFactory(red.Reduced, 3)
+	factory := wrap(bitvecFactory(red.Reduced, 3))
 	loops, err := loopgen.Generate(m, loopgen.Default())
 	if err != nil {
 		b.Fatal(err)
@@ -439,7 +439,7 @@ func benchmarkIMSCorpus(b *testing.B, cfg Config) {
 	loops = loops[:200]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range ScheduleBatch(loops, m, func(int) ModuleFactory { return factory }, cfg, 1) {
+		for _, r := range ScheduleBatch(loops, m, func(int) ModuleFactory { return factory }, Config{BudgetRatio: 6}, 1) {
 			if !r.OK {
 				b.Fatal("corpus loop failed to schedule")
 			}
@@ -448,9 +448,9 @@ func benchmarkIMSCorpus(b *testing.B, cfg Config) {
 }
 
 func BenchmarkIMSCorpusRangeScan(b *testing.B) {
-	benchmarkIMSCorpus(b, Config{BudgetRatio: 6})
+	benchmarkIMSCorpus(b, func(f ModuleFactory) ModuleFactory { return f })
 }
 
 func BenchmarkIMSCorpusNaiveScan(b *testing.B) {
-	benchmarkIMSCorpus(b, Config{BudgetRatio: 6, NaiveScan: true})
+	benchmarkIMSCorpus(b, naiveFactory)
 }

@@ -182,23 +182,21 @@ func listScheduleInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, iss I
 		}
 		iss.Advance()
 		res.Cycles = cycle + 1
-		// Empty cycle on a range-capable module backend: nothing can
-		// issue until either a blocked ready node's first contention-free
-		// cycle or a dependence-pending node's earliest start, so jump
-		// straight there. Every skipped cycle provably issues nothing
-		// (the partial schedule is unchanged, so the ready set and every
-		// contention answer in between are too), keeping the schedule —
-		// and the final cycle count — byte-identical to the one-cycle-at-
-		// a-time walk. Automaton backends advance cycle by cycle (their
+		// Empty cycle on a query-module backend: nothing can issue until
+		// either a blocked ready node's first contention-free cycle or a
+		// dependence-pending node's earliest start, so jump straight
+		// there. Every skipped cycle provably issues nothing (the partial
+		// schedule is unchanged, so the ready set and every contention
+		// answer in between are too), keeping the schedule — and the
+		// final cycle count — byte-identical to the one-cycle-at-a-time
+		// walk. A WalkerIssuer advances cycle by cycle (the automaton's
 		// per-cycle state transition cannot be skipped).
 		if !issued && remaining > 0 {
 			if mi, ok := iss.(*ModuleIssuer); ok {
-				if rq, ok := mi.M.(query.RangeQuerier); ok {
-					next := fastForwardTarget(g, e, preds, time, placed, rq, cycle)
-					if next > cycle+1 {
-						mi.cycle = next
-						cycle = next - 1
-					}
+				next := fastForwardTarget(g, e, preds, time, placed, mi.M, cycle)
+				if next > cycle+1 {
+					mi.cycle = next
+					cycle = next - 1
 				}
 			}
 		}
@@ -220,7 +218,7 @@ func listScheduleInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, iss I
 // advances normally and runs into the safety valve exactly as the naive
 // walk would.
 func fastForwardTarget(g *ddg.Graph, e *resmodel.Expanded, preds *edgeCSR,
-	time []int, placed []bool, rq query.RangeQuerier, cycle int) int {
+	time []int, placed []bool, mod query.Module, cycle int) int {
 	next := -1
 	for v := range g.Nodes {
 		if placed[v] {
@@ -248,7 +246,7 @@ func fastForwardTarget(g *ddg.Graph, e *resmodel.Expanded, preds *edgeCSR,
 		// Ready but resource-blocked this cycle: the next cycle any of
 		// its alternatives fits. The high bound mirrors the safety valve.
 		for _, altOp := range e.AltGroup[g.Nodes[v].Op] {
-			if t, found := rq.FirstFree(altOp, cycle+1, 100001); found && (next < 0 || t < next) {
+			if t, found := mod.FirstFree(altOp, cycle+1, 100001); found && (next < 0 || t < next) {
 				next = t
 			}
 		}

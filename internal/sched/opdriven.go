@@ -84,11 +84,7 @@ func operationDrivenInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, mo
 		return fmt.Errorf("sched: graph is cyclic")
 	}
 
-	// Reservation-table modules answer the whole slot search with one
-	// range query; backends without range support (the automaton
-	// PairModule) keep the per-cycle probe. Both find the same first
-	// feasible cycle with the same alternative tie-break.
-	rq, _ := mod.(query.RangeQuerier)
+	// One range query answers each node's whole slot search.
 	id := 0
 	for _, v := range order {
 		estart := 0
@@ -97,32 +93,15 @@ func operationDrivenInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, mo
 				estart = t
 			}
 		}
-		if rq != nil {
-			op, t, ok := rq.FirstFreeWithAlt(g.Nodes[v].Op, estart, estart+100000)
-			if !ok {
-				return fmt.Errorf("sched: no slot found for node %d", v)
-			}
-			mod.Assign(op, t, id)
-			id++
-			time[v] = t
-			res.Alt[v] = op
-			placed[v] = true
-			continue
+		op, t, ok := mod.FirstFreeWithAlt(g.Nodes[v].Op, estart, estart+100000)
+		if !ok {
+			return fmt.Errorf("sched: no slot found for node %d", v)
 		}
-		found := false
-		for t := estart; !found; t++ {
-			if t > estart+100000 {
-				return fmt.Errorf("sched: no slot found for node %d", v)
-			}
-			if op, ok := mod.CheckWithAlt(g.Nodes[v].Op, t); ok {
-				mod.Assign(op, t, id)
-				id++
-				time[v] = t
-				res.Alt[v] = op
-				placed[v] = true
-				found = true
-			}
-		}
+		mod.Assign(op, t, id)
+		id++
+		time[v] = t
+		res.Alt[v] = op
+		placed[v] = true
 	}
 	copy(res.Time, time)
 	for v := 0; v < n; v++ {

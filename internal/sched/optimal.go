@@ -49,11 +49,11 @@ import (
 // height (descending, ties by lower index — the priority IMS pops),
 // candidates per node by ascending residue, alternatives in group
 // order, exactly the sequence a naive CheckWithAlt loop probes. The
-// range-query scan (RangeQuerier.FirstFreeWithAlt) skips empty residues
-// without changing that sequence, so schedules are byte-identical under
-// Config.NaiveScan. The first node is pinned to residue 0: rotating a
-// modulo schedule by one cycle is an MRT symmetry, so the restriction
-// loses no solutions and also preserves infeasibility proofs.
+// range-query scan (Module.FirstFreeWithAlt) skips empty residues
+// without changing that sequence. The first node is pinned to residue
+// 0: rotating a modulo schedule by one cycle is an MRT symmetry, so the
+// restriction loses no solutions and also preserves infeasibility
+// proofs.
 //
 // Parallelism reuses the exact-cover frontier machinery from
 // internal/core: the search always expands serially to a fixed depth
@@ -106,13 +106,9 @@ type OptimalConfig struct {
 	// pool (<= 1 runs them sequentially on the caller's module).
 	// Results are byte-identical at every setting.
 	Workers int
-	// NaiveScan disables the range-query candidate scan, probing one
-	// cycle at a time; schedules and search statistics are
-	// byte-identical either way (only query-module counters differ).
-	NaiveScan bool
 	// IMS configures the heuristic seed pass, whose schedule doubles as
 	// the fallback when MaxNodes is exhausted with the optimality gap
-	// still open. Its NaiveScan is overridden to match this config's.
+	// still open.
 	IMS Config
 }
 
@@ -188,7 +184,6 @@ type optRun struct {
 	g      *ddg.Graph
 	n      int
 	ii     int
-	naive  bool
 	order  []int   // position -> node, height desc, ties by index
 	w      []int64 // n*n all-pairs longest dependence path at this II
 	altOff []int32 // node -> [altOff[v], altOff[v+1]) into altBuf
@@ -267,7 +262,6 @@ const (
 type optState struct {
 	run    *optRun
 	mod    query.Module
-	rq     query.RangeQuerier
 	d      []int64 // n*n closure over assigned positions
 	resid  []int   // position -> residue on the current path
 	altSel []int   // position -> expanded alt on the current path
@@ -283,13 +277,9 @@ type optState struct {
 // attach points the state at a run and module, growing buffers as
 // needed. Stale D entries need no clearing: every read is of a pair of
 // positions on the active path, which addNode rewrote on this descent.
-func (s *optState) attach(run *optRun, mod query.Module, naive bool) {
+func (s *optState) attach(run *optRun, mod query.Module) {
 	s.run = run
 	s.mod = mod
-	s.rq = nil
-	if !naive {
-		s.rq, _ = mod.(query.RangeQuerier)
-	}
 	n := run.n
 	s.d = growInt64(s.d, n*n)
 	s.resid = intsZero(s.resid, n)
@@ -407,32 +397,19 @@ func (s *optState) capture() {
 // nextFreeCycle advances to the first cycle in [t, hi] where some
 // schedulable alternative of position k's node is contention-free,
 // returning the cycle and the index (within the node's filtered alt
-// list) of the first free alternative. The range path and the naive
-// path return identical answers (the RangeQuerier contract); only the
-// query-module counters differ.
+// list) of the first free alternative.
 func (s *optState) nextFreeCycle(v, t, hi int) (cycle, firstAlt int, ok bool) {
 	r := s.run
-	alts := r.altsOf(v)
-	if s.rq != nil {
-		op, cyc, ok2 := s.rq.FirstFreeWithAlt(r.g.Nodes[v].Op, t, hi)
-		if !ok2 {
-			return 0, 0, false
-		}
-		for ai, a := range alts {
-			if a == op {
-				return cyc, ai, true
-			}
-		}
-		panic("sched: range scan returned an unschedulable alternative")
+	op, cyc, ok := s.mod.FirstFreeWithAlt(r.g.Nodes[v].Op, t, hi)
+	if !ok {
+		return 0, 0, false
 	}
-	for ; t <= hi; t++ {
-		for ai, a := range alts {
-			if s.mod.Check(a, t) {
-				return t, ai, true
-			}
+	for ai, a := range r.altsOf(v) {
+		if a == op {
+			return cyc, ai, true
 		}
 	}
-	return 0, 0, false
+	panic("sched: range scan returned an unschedulable alternative")
 }
 
 // dfs enumerates placements of position k onward in canonical order.
@@ -585,13 +562,8 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	g := o.g
 	n := len(g.Nodes)
 	r.g, r.n, r.ii = g, n, ii
-	r.naive = o.cfg.NaiveScan
 
 	mod := o.moduleOf(ii)
-	ag, ok := mod.(query.AltGrouper)
-	if !ok {
-		panic("sched: module does not expose alternative groups")
-	}
 	// Filter each node's alternative group down to the alternatives
 	// schedulable at this II; a node with none proves the II infeasible
 	// outright (the guard IMS applies per placement).
@@ -599,7 +571,7 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	r.altBuf = r.altBuf[:0]
 	r.altOff[0] = 0
 	for v := 0; v < n; v++ {
-		for _, op := range ag.AltGroupOf(g.Nodes[v].Op) {
+		for _, op := range mod.AltGroupOf(g.Nodes[v].Op) {
 			if mod.Schedulable(op) {
 				r.altBuf = append(r.altBuf, op)
 			}
@@ -625,7 +597,7 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	buildW(r.w, g, ii)
 
 	st := &sc.st
-	st.attach(r, mod, r.naive)
+	st.attach(r, mod)
 	st.nodes = 0
 	st.limit = budget
 	st.found = false
@@ -657,7 +629,7 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 		parallel.ForEachState(ntasks, workers,
 			func() *optState {
 				w := new(optState)
-				w.attach(r, o.factory(ii), r.naive)
+				w.attach(r, o.factory(ii))
 				return w
 			},
 			func(w *optState, i int) {
@@ -709,16 +681,14 @@ func optimalInto(res *OptimalResult, g *ddg.Graph, m *resmodel.Machine, moduleOf
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = DefaultOptimalNodes
 	}
-	cfg.IMS.NaiveScan = cfg.NaiveScan
 	n := len(g.Nodes)
 	resetResult(&res.Result, n)
 	res.Proven, res.Fallback = false, false
 	res.Nodes, res.InfeasibleIIs, res.Tasks = 0, 0, 0
 	ss := &sc.sched
-	// Seed with the IMS heuristic on the same modules and scan mode: its
-	// schedule is the fallback, and when it achieves MII (or the search
-	// below proves every smaller II infeasible) it is itself the proven
-	// optimum. scheduleInto computes the MII fields as a side effect.
+	// Seed with the IMS heuristic on the same modules: its schedule is
+	// the fallback, and when it achieves MII (or the search below proves
+	// every smaller II infeasible) it is itself the proven optimum. scheduleInto computes the MII fields as a side effect.
 	scheduleInto(&sc.ims, g, m, moduleOf, cfg.IMS, ss)
 	res.MII, res.ResMII, res.RecMII = sc.ims.MII, sc.ims.ResMII, sc.ims.RecMII
 	if sc.ims.OK && sc.ims.II == sc.ims.MII {

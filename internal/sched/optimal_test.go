@@ -88,11 +88,11 @@ func TestOptimalPropertyCorpus(t *testing.T) {
 // TestOptimalDeterministicAcrossWorkers is the satellite differential
 // test: the per-loop OptimalResults and the sched/query obs counter
 // totals are byte-identical at batch workers 1 and 8, under the range
-// scan and under Config.NaiveScan, at two budgets that force different
-// proven/fallback mixtures. Additionally the
-// results themselves (schedules, node counts, outcomes) are identical
-// across the two scan modes — only query-module counters may differ,
-// and those live outside OptimalResult.
+// scan and under the naive per-cycle oracle (naiveModule), at two
+// budgets that force different proven/fallback mixtures. Additionally
+// the results themselves (schedules, node counts, outcomes) are
+// identical across the two scan modes — only query-module counters may
+// differ, and those live outside OptimalResult.
 func TestOptimalDeterministicAcrossWorkers(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
@@ -114,7 +114,10 @@ func TestOptimalDeterministicAcrossWorkers(t *testing.T) {
 			for mi, naive := range []bool{false, true} {
 				cfg := DefaultOptimalConfig()
 				cfg.MaxNodes = bc.budget
-				cfg.NaiveScan = naive
+				factory := factory
+				if naive {
+					factory = naiveFactory(factory)
+				}
 				var ref []OptimalResult
 				refSnap := obsRun(t, func() {
 					ref = OptimalBatch(loops, m, factory, cfg, 1)

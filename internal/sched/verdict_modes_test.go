@@ -9,28 +9,34 @@ import (
 	"repro/internal/query"
 )
 
-// wordsScanFactory wraps a bitvector factory so every module it builds
-// runs the word-at-a-time range scan instead of the default bit-parallel
-// verdict scan (see query.SetVerdictScan).
-func wordsScanFactory(f ModuleFactory) ModuleFactory {
-	return func(ii int) query.Module {
-		mod := f(ii)
-		mod.(*query.Bitvector).SetVerdictScan(false)
-		return mod
-	}
+// naiveModule is the per-cycle oracle: it answers range queries
+// through query.FirstFreeNaive/FirstFreeWithAltNaive on the wrapped
+// module, so every probe lands on the module's Check counters. A
+// scheduler running on it takes the same code path as on the bare
+// module; only the slot-search implementation underneath differs.
+type naiveModule struct{ query.Module }
+
+func (m naiveModule) FirstFree(op, lo, hi int) (int, bool) {
+	return query.FirstFreeNaive(m.Module, op, lo, hi)
+}
+
+func (m naiveModule) FirstFreeWithAlt(origOp, lo, hi int) (int, int, bool) {
+	return query.FirstFreeWithAltNaive(m.Module, origOp, lo, hi)
+}
+
+// naiveFactory wraps every module f builds in the per-cycle oracle.
+func naiveFactory(f ModuleFactory) ModuleFactory {
+	return func(ii int) query.Module { return naiveModule{f(ii)} }
 }
 
 // TestVerdictScanModesCorpusIdentical is the tentpole acceptance
-// criterion: modulo-scheduling the full 200-loop Cydra 5 corpus over the
+// criterion: modulo-scheduling the 200-loop Cydra 5 corpus over the
 // reduced packed-bitvector description must produce byte-identical
-// schedules in all three scan modes — bit-parallel verdict words (the
-// default), the word-at-a-time scan, and the naive per-cycle reference
-// loop — through per-worker arenas at 1 and 8 workers. The two range
-// scans must also agree on every counter except their internal work
-// units, including the naive-equivalent FirstFreeCycles probe charge,
-// and the scheduler's probe currency (CheckCalls + FirstFreeCycles)
-// must be conserved even against the naive mode that never issues a
-// range query at all.
+// schedules whether slot searches run the bit-parallel verdict scan or
+// the naive per-cycle reference loop (naiveModule), through per-worker
+// arenas at 1 and 8 workers, and the scheduler's probe currency
+// (CheckCalls + FirstFreeCycles) must be conserved even against the
+// naive mode that never issues a range query at all.
 func TestVerdictScanModesCorpusIdentical(t *testing.T) {
 	m := machines.Cydra5()
 	st := loopgen.DefaultStrata(200)
@@ -39,24 +45,19 @@ func TestVerdictScanModesCorpusIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	naiveCfg := cfg
-	naiveCfg.NaiveScan = true
-
 	verdictFactory := reducedBitvecFactory(t, m.Expand())
 	modes := []struct {
 		name    string
 		factory ModuleFactory
-		cfg     Config
 	}{
-		{"verdict", verdictFactory, cfg},
-		{"words", wordsScanFactory(verdictFactory), cfg},
-		{"naive", verdictFactory, naiveCfg},
+		{"verdict", verdictFactory},
+		{"naive", naiveFactory(verdictFactory)},
 	}
 
-	ref := ScheduleBatchArena(loops, m, modes[0].factory, modes[0].cfg, 1)
+	ref := ScheduleBatchArena(loops, m, modes[0].factory, cfg, 1)
 	for _, mode := range modes {
 		for _, workers := range []int{1, 8} {
-			got := ScheduleBatchArena(loops, m, mode.factory, mode.cfg, workers)
+			got := ScheduleBatchArena(loops, m, mode.factory, cfg, workers)
 			for i := range loops {
 				if !reflect.DeepEqual(got[i], ref[i]) {
 					t.Fatalf("%s workers=%d loop %d (%s): schedule differs from verdict reference\n%s: %+v\nverdict: %+v",
@@ -76,7 +77,7 @@ func TestVerdictScanModesCorpusIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := ScheduleStream(s.Next, m, mode.factory, mode.cfg, workers, 64)
+			got := ScheduleStream(s.Next, m, mode.factory, cfg, workers, 64)
 			if wi == 0 {
 				first = got
 			} else if !reflect.DeepEqual(got, first) {
@@ -87,38 +88,24 @@ func TestVerdictScanModesCorpusIdentical(t *testing.T) {
 		stats[mode.name] = first
 	}
 
-	v, w, n := stats["verdict"], stats["words"], stats["naive"]
+	v, n := stats["verdict"], stats["naive"]
 	if v.Counters.FirstFreeVerdictWords == 0 {
 		t.Error("verdict mode built no verdict words; the bit-parallel scan did not run")
 	}
-	if w.Counters.FirstFreeVerdictWords != 0 || n.Counters.FirstFreeVerdictWords != 0 {
-		t.Errorf("non-verdict modes charged verdict words: words=%d naive=%d",
-			w.Counters.FirstFreeVerdictWords, n.Counters.FirstFreeVerdictWords)
+	if n.Counters.FirstFreeVerdictWords != 0 {
+		t.Errorf("naive mode charged verdict words: %d", n.Counters.FirstFreeVerdictWords)
 	}
 	if n.Counters.FirstFreeCalls != 0 || n.Counters.FirstFreeWithAltCalls != 0 {
 		t.Errorf("naive mode issued range queries: ff=%d ffa=%d",
 			n.Counters.FirstFreeCalls, n.Counters.FirstFreeWithAltCalls)
 	}
 
-	// The two range scans must agree on everything but internal work
-	// units (words examined, summary skips, verdict words built).
-	vc, wc := v.Counters, w.Counters
-	vc.FirstFreeWork, wc.FirstFreeWork = 0, 0
-	vc.FirstFreeSkips, wc.FirstFreeSkips = 0, 0
-	vc.FirstFreeVerdictWords, wc.FirstFreeVerdictWords = 0, 0
-	vz, wz := v, w
-	vz.Counters, wz.Counters = vc, wc
-	if !reflect.DeepEqual(vz, wz) {
-		t.Errorf("verdict and word-scan stats differ beyond work units\nverdict: %+v\nwords:   %+v", vz, wz)
-	}
-
-	// Probe-currency conservation across all three modes: the per-cycle
-	// probes a naive loop issues equal the naive-equivalent probes the
-	// range scans charge (ims.go budgets decisions in this currency).
+	// Probe-currency conservation: the per-cycle probes a naive loop
+	// issues equal the naive-equivalent probes the range scan charges
+	// (ims.go records checks per decision in this currency).
 	probes := func(s StreamStats) int64 { return s.Counters.CheckCalls + s.Counters.FirstFreeCycles }
-	if probes(v) != probes(n) || probes(w) != probes(n) {
-		t.Errorf("probe currency not conserved: verdict=%d words=%d naive=%d",
-			probes(v), probes(w), probes(n))
+	if probes(v) != probes(n) {
+		t.Errorf("probe currency not conserved: verdict=%d naive=%d", probes(v), probes(n))
 	}
 	if v.Loops != n.Loops || v.Failed != n.Failed || v.Decisions != n.Decisions ||
 		v.SumII != n.SumII || v.SumMII != n.SumMII {
@@ -127,10 +114,10 @@ func TestVerdictScanModesCorpusIdentical(t *testing.T) {
 }
 
 // TestArenaScanModesZeroAlloc extends the steady-state allocation pin to
-// every scan mode of the reduced bitvector backend: after one warmup
+// both scan modes of the reduced bitvector backend: after one warmup
 // pass, scheduling a corpus through an arena allocates nothing per loop
-// whether ranges are answered by verdict words, the word-at-a-time scan,
-// or the naive per-cycle loop. In particular the verdict rows and the
+// whether ranges are answered by verdict words or by the naive
+// per-cycle loop. In particular the verdict rows and the
 // 3*II modulo images are slab storage reused across Reset, never
 // reallocated per loop.
 func TestArenaScanModesZeroAlloc(t *testing.T) {
@@ -141,26 +128,22 @@ func TestArenaScanModesZeroAlloc(t *testing.T) {
 	}
 	verdictFactory := reducedBitvecFactory(t, m.Expand())
 	cfg := DefaultConfig()
-	naiveCfg := cfg
-	naiveCfg.NaiveScan = true
 	for _, tc := range []struct {
 		name    string
 		factory ModuleFactory
-		cfg     Config
 	}{
-		{"verdict", verdictFactory, cfg},
-		{"words", wordsScanFactory(verdictFactory), cfg},
-		{"naive", verdictFactory, naiveCfg},
+		{"verdict", verdictFactory},
+		{"naive", naiveFactory(verdictFactory)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewArena(tc.factory)
 			var res Result
 			for _, g := range loops {
-				a.ScheduleInto(&res, g, m, tc.cfg) // warmup: grow buffers, build modules
+				a.ScheduleInto(&res, g, m, cfg) // warmup: grow buffers, build modules
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				for _, g := range loops {
-					a.ScheduleInto(&res, g, m, tc.cfg)
+					a.ScheduleInto(&res, g, m, cfg)
 				}
 			})
 			if allocs != 0 {

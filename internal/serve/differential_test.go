@@ -10,6 +10,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/machines"
 	"repro/internal/mdl"
 	"repro/internal/query"
 	"repro/internal/resmodel"
@@ -214,91 +216,61 @@ func sortedEvicted(results []BatchResult) []BatchResult {
 	return out
 }
 
-// TestDifferentialScanModes pins the scan knob through the wire: the
-// same random batch answered under scan "verdict" (default), "words"
-// and "naive" must return byte-identical results, on linear and modulo
-// bitvector modules over random machines, with a schedule op riding
-// along so the knob's sched.Config.NaiveScan routing is covered too.
-// Counters separate the modes: the verdict run reports the candidate
-// cycles charged (FirstFreeCycles) identically to the word scan — the
-// accounting invariant — while the naive run answers through per-cycle
-// Check calls and must report no range-scan work at all.
-func TestDifferentialScanModes(t *testing.T) {
+// TestScanFieldIgnored pins that the retired "scan" request field is
+// ignored like any other unknown field: a batch and a session stream
+// sent with "scan":"naive" answer 200 with results byte-identical to the
+// same requests without it, range queries and a schedule op included.
+func TestScanFieldIgnored(t *testing.T) {
 	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
+	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	rng := rand.New(rand.NewSource(1996))
-	for i := 0; i < 8; i++ {
-		m := resmodel.Random(rng, resmodel.DefaultRandomConfig())
-		m.Name = fmt.Sprintf("scan%d", i)
-		body, _ := json.Marshal(ReduceRequest{MDL: mdl.Print(m)})
-		resp, err := http.Post(ts.URL+"/v1/reduce", "application/json", bytes.NewReader(body))
+	withScan := func(v any) []byte {
+		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("machine %d: reduce status %d", i, resp.StatusCode)
-		}
-		sess := s.lookup(m.Name)
-		if sess == nil {
-			t.Fatalf("machine %d not registered after reduce", i)
-		}
-
-		ii := 1 + rng.Intn(m.MaxSpan()+2)
-		for _, c := range []batchCase{
-			{"reduced", "bitvector", 0},
-			{"reduced", "bitvector", ii},
-			{"original", "bitvector", ii},
-			{"reduced", "discrete", 0},
-		} {
-			e := sess.expandedFor(c.use)
-			probe := localModule(t, e, c)
-			ops := genSequence(rand.New(rand.NewSource(rng.Int63())), e, probe, c.ii, true, 80)
-			ops = append(ops, BatchOp{Fn: "schedule", Scheduler: "ims",
-				Loop: &LoopSpec{Ops: []int{0, len(e.AltGroup) - 1},
-					Edges: []LoopEdge{{From: 0, To: 1, Delay: 1}}}})
-
-			req := BatchRequest{Machine: m.Name, Use: c.use,
-				Representation: c.representation, II: c.ii, Ops: ops}
-			raws := make(map[string]json.RawMessage)
-			fulls := make(map[string]*BatchResponse)
-			for _, scan := range []string{"", "verdict", "words", "naive"} {
-				req.Scan = scan
-				raws[scan], fulls[scan] = postBatch(t, ts.URL, req)
-			}
-			for _, scan := range []string{"verdict", "words", "naive"} {
-				if !bytes.Equal(raws[scan], raws[""]) {
-					t.Fatalf("machine %d %+v: scan %q results differ from default\n%s\nvs\n%s",
-						i, c, scan, raws[scan], raws[""])
-				}
-			}
-			v, w, n := fulls["verdict"].Counters, fulls["words"].Counters, fulls["naive"].Counters
-			if v.FirstFreeCycles != w.FirstFreeCycles {
-				t.Errorf("machine %d %+v: verdict charged %d candidate cycles, word scan %d",
-					i, c, v.FirstFreeCycles, w.FirstFreeCycles)
-			}
-			if w.FirstFreeVerdictWords != 0 || n.FirstFreeVerdictWords != 0 {
-				t.Errorf("machine %d %+v: verdict words leaked into words/naive runs (%d, %d)",
-					i, c, w.FirstFreeVerdictWords, n.FirstFreeVerdictWords)
-			}
-			if n.FirstFreeCalls != 0 {
-				t.Errorf("machine %d %+v: naive run made %d range-scan calls", i, c, n.FirstFreeCalls)
-			}
-		}
+		return append([]byte(`{"scan":"naive",`), b[1:]...)
+	}
+	ops := []BatchOp{
+		{Fn: "assign", Op: 0, Cycle: 1, ID: 1},
+		{Fn: "first_free", Op: 0, Lo: 0, Hi: 11},
+		{Fn: "first_free_alt", Op: 0, Lo: -2, Hi: 7},
+		{Fn: "schedule", Scheduler: "ims", Loop: &LoopSpec{Ops: []int{0, 1},
+			Edges: []LoopEdge{{From: 0, To: 1, Delay: 1}}}},
 	}
 
-	// The knob itself is validated.
-	body, _ := json.Marshal(BatchRequest{Machine: "scan0", Scan: "simd",
-		Ops: []BatchOp{{Fn: "check"}}})
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	breq := BatchRequest{Machine: "ex", Representation: "bitvector", II: 4, Ops: ops}
+	var results [2]json.RawMessage
+	for i, body := range []any{breq, withScan(breq)} {
+		rec := post(t, h, "/v1/batch", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		results[i] = decodeBody[struct {
+			Results json.RawMessage `json:"results"`
+		}](t, rec).Results
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad scan value: status %d, want 400", resp.StatusCode)
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("batch results differ with scan field\nwithout: %s\nwith:    %s", results[0], results[1])
+	}
+
+	sreq := SessionRequest{Machine: "ex", Representation: "bitvector", II: 4}
+	plain := createSession(t, h, sreq)
+	rec := post(t, h, "/v1/sessions", withScan(sreq))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("session create with scan field: status %d: %s", rec.Code, rec.Body.String())
+	}
+	scanned := decodeBody[SessionInfo](t, rec)
+	want := postStream(t, ts.URL, plain.SessionID, ops)
+	got := postStream(t, ts.URL, scanned.SessionID, ops)
+	if !bytes.Equal(bytes.Join(got, []byte("\n")), bytes.Join(want, []byte("\n"))) {
+		t.Errorf("stream lines differ with scan field\nwithout: %s\nwith:    %s",
+			bytes.Join(want, []byte("\n")), bytes.Join(got, []byte("\n")))
 	}
 }
 

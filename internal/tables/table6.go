@@ -176,13 +176,12 @@ func ComputeTable6Workers(m *resmodel.Machine, loops []*ddg.Graph, reps []Repres
 			resourceRev += stats[i].resourceRev
 			checksPerDec = append(checksPerDec, stats[i].checksPerDec...)
 		}
-		// The scheduler's slot search answers through range queries when
-		// the module supports them; FirstFreeCycles is the number of
-		// per-cycle probes the equivalent naive loop would have issued
-		// and FirstFreeWork their work units, so folding them into the
-		// check row keeps Table 6's res-uses/word-uses-per-check metric
-		// — and the frequency column — identical whichever scan strategy
-		// the scheduler used.
+		// The scheduler's slot search answers through range queries;
+		// FirstFreeCycles is the number of per-cycle probes the
+		// equivalent naive loop would have issued and FirstFreeWork their
+		// work units, so folding them into the check row keeps Table 6's
+		// res-uses/word-uses-per-check metric — and the frequency column
+		// — in the paper's per-check currency.
 		checkCalls := total.CheckCalls + total.FirstFreeCycles
 		checkWork := total.CheckWork + total.FirstFreeWork
 		if ri == 0 {
