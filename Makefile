@@ -1,30 +1,28 @@
-# Tier-1 checks and the parallel-layer benchmark report.
+# Tier-1 checks and the wall-time benchmark reports.
 #
 #   make             build + test
-#   make check       build + vet + test + race + fuzz-smoke + serve-smoke
-#                    + crossover + perfbench-vet (tier-1, everything CI runs)
+#   make check       fmt-check + build + vet + test + race + fuzz-smoke
+#                    + serve-smoke + perfbench-vet (tier-1, everything CI runs)
+#   make fmt-check   fail if any Go file needs gofmt
 #   make verify      alias for check
 #   make fuzz-smoke  run each native fuzz target briefly (10s apiece)
 #   make serve-smoke build mdserve and drive it end to end over TCP
 #   make metrics     regenerate metrics.json + OPTGAP.md and sanity-check them
-#   make bench-json  regenerate BENCH_parallel.json on this host
 #   make bench-reduction  regenerate BENCH_reduction.json on this host
 #   make bench-throughput regenerate BENCH_throughput.json on this host
 #   make bench-serve      regenerate BENCH_serve.json on this host
 #   make bench-opt        regenerate BENCH_opt.json on this host
 #   make opt-gap          regenerate the OPTGAP.md optimality-gap report
-#   make bench-repr       regenerate BENCH_repr.json on this host
-#   make crossover        regenerate the CROSSOVER.md backend frontier
 #   make perfbench-vet    vet the separate perfbench benchmark module
 #   make profile          CPU+heap pprof profiles of the throughput run
 #   make bench-compare    re-measure and gate against BENCH_reduction.json,
-#                         BENCH_throughput.json, BENCH_serve.json,
-#                         BENCH_opt.json and BENCH_repr.json
+#                         BENCH_throughput.json, BENCH_serve.json and
+#                         BENCH_opt.json
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet bench bench-json bench-reduction bench-throughput bench-serve bench-opt bench-repr crossover perfbench-vet bench-compare bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
+.PHONY: all build test race vet fmt-check bench bench-reduction bench-throughput bench-serve bench-opt perfbench-vet bench-compare bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
 
 all: build test
 
@@ -44,6 +42,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: lists the offending files and fails if any file needs
+# formatting.
+fmt-check:
+	@out="$$(gofmt -l .)"; \
+	if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -69,12 +73,6 @@ metrics:
 	$(GO) run ./cmd/paper -opt-gap OPTGAP.md > /dev/null
 	@git diff --quiet -- OPTGAP.md || { echo "OPTGAP.md: regeneration changed the committed report" >&2; exit 1; }
 	@echo "OPTGAP.md OK"
-
-# Serial-vs-parallel wall time for the Table 5/6 harnesses, the reduction
-# pipeline, and the reduction cache. Speedups are host-dependent; the
-# report records GOMAXPROCS and NumCPU.
-bench-json:
-	$(GO) run ./cmd/paper -bench-json BENCH_parallel.json -loops 300
 
 # Per-stage reduction wall time (F-matrix, genset, prune, select, exact)
 # over the Tables 1-4 workload. Commits the baseline bench-compare gates
@@ -114,24 +112,6 @@ bench-opt:
 opt-gap:
 	$(GO) run ./cmd/paper -opt-gap OPTGAP.md
 
-# Corpus scheduling wall time per query backend (acyclic PA-RISC blocks
-# per fixed backend, Cydra 5 modulo loops per modulo-capable policy).
-# serial_ns is the gated column. Commits the baseline bench-compare
-# gates against; regenerate deliberately when the query layer
-# legitimately changes.
-bench-repr:
-	$(GO) run ./cmd/paper -bench-repr BENCH_repr.json
-
-# The committed representation-crossover frontier: query.Select's
-# deterministic calibration over real machines and seeded random strata.
-# No wall clock anywhere (counted probe work only), so regeneration on
-# any host must reproduce the committed bytes; part of `make check` so
-# drift in the frontier fails CI.
-crossover:
-	$(GO) run ./cmd/paper -crossover CROSSOVER.md
-	@git diff --quiet -- CROSSOVER.md || { echo "CROSSOVER.md: regeneration changed the committed report" >&2; exit 1; }
-	@echo "CROSSOVER.md OK"
-
 # perfbench is its own module (replace repro => ../), so the root
 # `go build ./...` never compiles it. Vetting it here makes a change to
 # an API it uses (query.Module, sched, serve) fail `make check` instead
@@ -148,8 +128,8 @@ profile:
 		-bench-workers 1 -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof -top cpu.pprof"
 
-# Non-tier-1 perf smoke: re-measure the per-stage, throughput, serve,
-# exact-scheduler and per-backend reports and fail if anything regressed
+# Non-tier-1 perf smoke: re-measure the per-stage, throughput, serve
+# and exact-scheduler reports and fail if anything regressed
 # more than 20% against the committed baselines. Wall-time gating is inherently
 # host-sensitive, which is why this stays out of `make check`. The
 # throughput re-measurement covers workers 1 and 8 only (the scaling
@@ -163,8 +143,6 @@ bench-compare:
 	$(GO) run ./cmd/benchgate -baseline BENCH_serve.json -current /tmp/BENCH_serve.current.json
 	$(GO) run ./cmd/paper -bench-opt /tmp/BENCH_opt.current.json -bench-workers 1,8
 	$(GO) run ./cmd/benchgate -baseline BENCH_opt.json -current /tmp/BENCH_opt.current.json
-	$(GO) run ./cmd/paper -bench-repr /tmp/BENCH_repr.current.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_repr.json -current /tmp/BENCH_repr.current.json
 
 # Brief runs of the native fuzz targets. FuzzReducePreservesF fuzzes the
 # paper's theorem (reduction preserves the forbidden-latency matrix);
@@ -186,7 +164,7 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -tags smoke -run '^TestServeSmoke$$' -count=1 ./internal/serve/
 
-check: build vet test race fuzz-smoke serve-smoke crossover perfbench-vet
+check: fmt-check build vet test race fuzz-smoke serve-smoke perfbench-vet
 
 verify: check
 

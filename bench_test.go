@@ -438,8 +438,8 @@ func BenchmarkAblationFastAlt(b *testing.B) {
 
 // --- Parallel execution layer: the worker-pool harness and reduction
 // pipeline at workers=1 (the serial reference) versus GOMAXPROCS. On a
-// single-core host both sub-benchmarks measure the same work; the
-// `cmd/paper -bench-json` report records the honest speedup per host. ---
+// single-core host both sub-benchmarks measure the same work, so a
+// speedup only means something on a multi-core host. ---
 
 func parallelWorkerCounts() []int {
 	n := parallel.Workers(0)

@@ -1,7 +1,6 @@
 // Command benchgate compares a freshly measured benchmark report against
 // a committed baseline and fails when any entry regresses. It understands
-// the BENCH_*.json schema written by `paper -bench-json` and
-// `paper -bench-reduction`.
+// the BENCH_*.json schema written by the `paper -bench-*` modes.
 //
 // Usage:
 //

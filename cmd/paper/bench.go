@@ -1,19 +1,9 @@
 package main
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"time"
+import "time"
 
-	"repro/internal/core"
-	"repro/internal/machines"
-	"repro/internal/tables"
-)
-
-// benchEntry is one serial-vs-parallel wall-time comparison; the other
-// bench reports reuse the schema, and benchgate ignores fields it does
+// benchEntry is one serial-vs-parallel wall-time comparison; every
+// bench report uses the schema, and benchgate ignores fields it does
 // not know.
 type benchEntry struct {
 	Name       string  `json:"name"`
@@ -43,10 +33,8 @@ type benchEntry struct {
 	P99US     int64   `json:"p99_us,omitempty"`
 }
 
-// benchReport is the BENCH_parallel.json schema: the host's parallelism
-// plus one entry per harness (Table 5, Table 6, full-pipeline reduction,
-// reduction cache). It seeds the bench trajectory: future PRs append
-// runs of the same schema to track the parallel layer over time.
+// benchReport is the schema every BENCH_*.json report shares: the
+// host's parallelism plus one entry per measured harness.
 type benchReport struct {
 	GeneratedAt string       `json:"generated_at"`
 	GoMaxProcs  int          `json:"gomaxprocs"`
@@ -59,87 +47,4 @@ func timeIt(fn func()) int64 {
 	start := time.Now()
 	fn()
 	return time.Since(start).Nanoseconds()
-}
-
-func entry(name string, workers int, serial, par func()) benchEntry {
-	e := benchEntry{Name: name, Workers: workers,
-		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
-	e.SerialNS = timeIt(serial)
-	e.ParallelNS = timeIt(par)
-	if e.ParallelNS > 0 {
-		e.Speedup = float64(e.SerialNS) / float64(e.ParallelNS)
-	}
-	return e
-}
-
-// runBenchJSON measures the serial (workers=1) against the parallel
-// (workers=N) paths of the three heavy pipelines and writes the report.
-// Output of the measured computations is discarded; determinism of the
-// parallel paths is covered by tests, this harness only times them.
-func runBenchJSON(path string, workers, loopLimit int) error {
-	m := machines.Cydra5()
-	bench := tables.BenchmarkLoops(m)
-	if loopLimit > 0 && loopLimit < len(bench) {
-		bench = bench[:loopLimit]
-	}
-	rep := benchReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Loops:       len(bench),
-	}
-
-	fmt.Fprintf(os.Stderr, "paper: bench-json: %d loops, %d workers\n", len(bench), workers)
-
-	rep.Entries = append(rep.Entries, entry("table5-loop-harness", workers,
-		func() { tables.ComputeTable5Workers(m, bench, 6, 1) },
-		func() { tables.ComputeTable5Workers(m, bench, 6, workers) }))
-
-	reps := tables.PaperRepresentations(m)
-	rep.Entries = append(rep.Entries, entry("table6-loop-harness", workers,
-		func() { tables.ComputeTable6Workers(m, bench, reps, 1) },
-		func() { tables.ComputeTable6Workers(m, bench, reps, workers) }))
-
-	// Full reduction pipeline, bypassing the cache so both sides do the
-	// work (the paper's Tables 1-4 workload across all four machines).
-	reduceAll := func(w int) {
-		for _, name := range []string{"mips", "alpha", "cydra5", "cydra5-subset"} {
-			e := machines.ByName(name).Expand()
-			for _, obj := range []core.Objective{
-				{Kind: core.ResUses},
-				{Kind: core.KCycleWord, K: 3},
-			} {
-				res := core.ReduceParallel(e, obj, w)
-				if err := res.Verify(); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	rep.Entries = append(rep.Entries, entry("reduction-pipeline", workers,
-		func() { reduceAll(1) },
-		func() { reduceAll(workers) }))
-
-	// Reduction cache: cold miss versus warm hit on a fresh cache.
-	cache := core.NewCache()
-	e := machines.Cydra5().Expand()
-	obj := core.Objective{Kind: core.ResUses}
-	rep.Entries = append(rep.Entries, entry("reduction-cache-hit", workers,
-		func() { cache.Reduce(e, obj, workers).Verify() },
-		func() { cache.Reduce(e, obj, workers).Verify() }))
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	for _, e := range rep.Entries {
-		fmt.Fprintf(os.Stderr, "paper: bench-json: %-22s serial %8.1fms  parallel %8.1fms  speedup %.2fx\n",
-			e.Name, float64(e.SerialNS)/1e6, float64(e.ParallelNS)/1e6, e.Speedup)
-	}
-	fmt.Printf("wrote %s (%d entries)\n", path, len(rep.Entries))
-	return nil
 }

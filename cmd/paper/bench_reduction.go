@@ -40,8 +40,7 @@ func minNZ(a, b int64) int64 {
 
 // measureStages runs the reduction stage by stage on every bench machine
 // at the given worker count benchReps times, keeping each stage's
-// fastest run. SelectCover runs under both paper objectives, mirroring
-// the reduction-pipeline entry of -bench-json.
+// fastest run. SelectCover runs under both paper objectives.
 func measureStages(w int) stageTimes {
 	var best stageTimes
 	for rep := 0; rep < benchReps; rep++ {
@@ -85,7 +84,7 @@ func measureStagesOnce(w int) stageTimes {
 }
 
 // runBenchReduction writes the per-stage reduction wall-time report
-// (BENCH_reduction.json, same schema as BENCH_parallel.json): one entry
+// (BENCH_reduction.json, benchReport schema): one entry
 // per pipeline stage over the Tables 1-4 workload, plus the exact-cover
 // branch and bound on the Cydra 5 subset under a fixed node budget.
 // Prune and SelectCover are serial stages, so their parallel column

@@ -11,14 +11,11 @@
 //	paper -table 5 -budget 2   # Table 5 ablation at budget 2N
 //	paper -loops 300      # subsample the 1327-loop benchmark (faster)
 //	paper -table 6 -parallel 8 # fan per-loop scheduling across 8 workers
-//	paper -bench-json BENCH_parallel.json  # serial-vs-parallel wall-time report
 //	paper -bench-reduction BENCH_reduction.json  # per-stage reduction wall-time report
 //	paper -bench-throughput BENCH_throughput.json  # streamed-corpus scheduler throughput
 //	paper -bench-throughput BENCH_throughput.json -corpus 100000 -bench-workers 1,2,4,8
 //	paper -bench-serve BENCH_serve.json -bench-workers 1,8  # mdserve load test (req/s, p50/p99)
 //	paper -opt-gap OPTGAP.md  # exact-vs-IMS optimality-gap corpus report
-//	paper -crossover CROSSOVER.md  # FSA-vs-reduced-table selection frontier
-//	paper -bench-repr BENCH_repr.json  # corpus wall time per query backend
 //	paper -bench-opt BENCH_opt.json -bench-workers 1,8  # exact-scheduler wall time
 //	paper -table 6 -metrics metrics.json   # emit a machine-readable profile
 //	paper -bench-throughput out.json -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -69,13 +66,10 @@ func main() {
 		budget    = flag.Int("budget", 6, "scheduling-decision budget ratio for Table 5")
 		loops     = flag.Int("loops", 0, "restrict the loop benchmark to the first N loops (0 = all 1327)")
 		nParallel = flag.Int("parallel", 0, "worker-pool size for per-loop scheduling (0 = GOMAXPROCS, 1 = serial)")
-		benchJSON = flag.String("bench-json", "", "measure serial-vs-parallel wall time and write the report to this file (e.g. BENCH_parallel.json)")
 		benchRed  = flag.String("bench-reduction", "", "measure per-stage reduction wall time and write the report to this file (e.g. BENCH_reduction.json)")
 		benchThru = flag.String("bench-throughput", "", "stream a stratified corpus through per-worker scheduler arenas and write the throughput report to this file (e.g. BENCH_throughput.json)")
 		benchSrv  = flag.String("bench-serve", "", "load-test the mdserve handler stack (batch + session streams) and write the report to this file (e.g. BENCH_serve.json)")
 		optGap    = flag.String("opt-gap", "", "schedule the stratified corpus with the exact searcher vs IMS and write the optimality-gap report to this file (e.g. OPTGAP.md)")
-		crossover = flag.String("crossover", "", "measure the query-backend calibration frontier (FSA vs reduced tables) and write the report to this file (e.g. CROSSOVER.md)")
-		benchRepr = flag.String("bench-repr", "", "time corpus scheduling per query backend and write the report to this file (e.g. BENCH_repr.json)")
 		benchOpt  = flag.String("bench-opt", "", "time the exact scheduler against IMS on the stratified corpus and write the report to this file (e.g. BENCH_opt.json)")
 		corpus    = flag.Int("corpus", 100000, "streamed-corpus size for -bench-throughput")
 		benchWkrs = flag.String("bench-workers", "1,2,4,8", "comma-separated worker counts for -bench-throughput")
@@ -124,13 +118,6 @@ func main() {
 			}
 		}()
 	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, workers, *loops); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *benchRed != "" {
 		if err := runBenchReduction(*benchRed, workers); err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
@@ -157,20 +144,6 @@ func main() {
 			os.Exit(2)
 		}
 		if err := runBenchServe(*benchSrv, wl); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *crossover != "" {
-		if err := runCrossover(*crossover); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchRepr != "" {
-		if err := runBenchRepr(*benchRepr); err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)
 		}

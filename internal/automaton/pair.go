@@ -32,11 +32,11 @@ import (
 // PairModule implements query.Module for linear schedules only (the
 // paper notes that modulo schedules and assign&free are where automata
 // struggle most; AssignFree here falls back to explicit overlap tests
-// against the scheduled-instance list). It does
-// not support dangling seeding: a dangling window would need up to
-// O(span²) extra interned states, which is exactly the blow-up the
-// reduced representations avoid — query.Select therefore excludes the
-// FSA backend for machines scheduled with dangling usages.
+// against the scheduled-instance list). It does not support dangling
+// seeding: a dangling window would need up to O(span²) extra interned
+// states, which is exactly the blow-up the reduced representations
+// avoid. It is the paper's §2 comparator, built directly by callers
+// (NewPairModule), never served by query.Select.
 type PairModule struct {
 	e   *resmodel.Expanded
 	fwd *Automaton
@@ -67,7 +67,6 @@ type PairModule struct {
 	inst         map[int]pairPlaced
 	evictScratch []int
 	ctr          query.Counters
-	met          *query.ModuleObs // nil while metrics are disabled
 }
 
 type pairInst struct {
@@ -91,8 +90,7 @@ type pairKey struct {
 
 // pairAutomata caches a build outcome — including failures: a
 // description that exceeds the state budget (the Cydra 5 does, by
-// orders of magnitude) costs real time to re-discover, and the
-// auto-selection calibrator probes every machine it sees.
+// orders of magnitude) costs real time to re-discover.
 type pairAutomata struct {
 	fwd, rev *Automaton
 	err      error
@@ -150,7 +148,6 @@ func NewPairModule(e *resmodel.Expanded, lim Limit) (*PairModule, error) {
 		fwd:  pa.fwd,
 		rev:  pa.rev,
 		inst: map[int]pairPlaced{},
-		met:  query.NewModuleObs("fsa"),
 	}
 	p.growTo(32)
 	return p, nil
@@ -237,7 +234,6 @@ func (p *PairModule) Check(op, cycle int) bool {
 	p.ctr.CheckCalls++
 	ok, work := p.probe(op, cycle)
 	p.ctr.CheckWork += work
-	p.met.OnCheck(work)
 	return ok
 }
 
@@ -298,9 +294,7 @@ func (p *PairModule) probe(op, cycle int) (bool, int64) {
 // state updates through both automata.
 func (p *PairModule) Assign(op, cycle, id int) {
 	p.ctr.AssignCalls++
-	w0 := p.ctr.AssignWork
 	p.assign(op, cycle, id)
-	p.met.OnAssign(p.ctr.AssignWork - w0)
 }
 
 func (p *PairModule) assign(op, cycle, id int) {
@@ -325,9 +319,7 @@ func (p *PairModule) assign(op, cycle, id int) {
 // Free implements query.Module.
 func (p *PairModule) Free(op, cycle, id int) {
 	p.ctr.FreeCalls++
-	w0 := p.ctr.FreeWork
 	p.free(op, cycle, id)
-	p.met.OnFree(p.ctr.FreeWork - w0)
 }
 
 func (p *PairModule) free(op, cycle, id int) {
@@ -367,7 +359,6 @@ func removeInst(ins []pairInst, id int) []pairInst {
 // to AssignFreeWork, matching the reduced backends.
 func (p *PairModule) AssignFree(op, cycle, id int) []int {
 	p.ctr.AssignFreeCalls++
-	w0 := p.ctr.AssignFreeWork
 	evicted := p.evictScratch[:0]
 	for otherID, pl := range p.inst {
 		p.ctr.AssignFreeWork++
@@ -394,7 +385,6 @@ func (p *PairModule) AssignFree(op, cycle, id int) []int {
 	if len(evicted) > 0 {
 		p.ctr.AssignFreeEvicting++
 	}
-	p.met.OnAssignFree(p.ctr.AssignFreeWork-w0, len(evicted))
 	return evicted
 }
 
@@ -412,7 +402,6 @@ func tablesOverlap(a resmodel.Table, ta int, b resmodel.Table, tb int) bool {
 // CheckWithAlt implements query.Module.
 func (p *PairModule) CheckWithAlt(origOp, cycle int) (int, bool) {
 	p.ctr.CheckWithAltCalls++
-	p.met.OnCheckWithAlt()
 	for _, op := range p.e.AltGroup[origOp] {
 		if p.Check(op, cycle) {
 			return op, true
@@ -428,10 +417,8 @@ func (p *PairModule) CheckWithAlt(origOp, cycle int) (int, bool) {
 // paper's work metric stays representation-invariant.
 func (p *PairModule) FirstFree(op, lo, hi int) (int, bool) {
 	p.ctr.FirstFreeCalls++
-	w0 := p.ctr.FirstFreeWork
 	cycle, ok := p.firstFree(op, lo, hi)
 	p.ctr.FirstFreeCycles += query.RangeProbes(lo, hi, cycle, ok)
-	p.met.OnFirstFree(p.ctr.FirstFreeWork-w0, 0)
 	return cycle, ok
 }
 
@@ -461,12 +448,9 @@ func (p *PairModule) FirstFreeWithAlt(origOp, lo, hi int) (int, int, bool) {
 		panic(fmt.Sprintf("automaton: FirstFreeWithAlt with negative start %d on a linear schedule", lo))
 	}
 	p.ctr.FirstFreeWithAltCalls++
-	p.met.OnFirstFreeWithAlt()
 	group := p.e.AltGroup[origOp]
-	w0 := p.ctr.FirstFreeWork
 	op, cycle, altIdx, ok := p.firstFreeAlt(group, lo, hi)
 	p.ctr.FirstFreeCycles += query.RangeProbesAlt(lo, hi, cycle, altIdx, len(group), ok)
-	p.met.OnFirstFree(p.ctr.FirstFreeWork-w0, 0)
 	return op, cycle, ok
 }
 
@@ -517,23 +501,4 @@ func (p *PairModule) AltGroupOf(origOp int) []int { return p.e.AltGroup[origOp] 
 // operation must be stored"; here two states per schedule cycle).
 func (p *PairModule) StatesStored() int { return len(p.fIn) + len(p.rIn) }
 
-// AutomatonStates reports the total interned states of the underlying
-// forward and reverse automata — the build-time footprint the selection
-// policy bounds before admitting the FSA backend.
-func (p *PairModule) AutomatonStates() int { return p.fwd.NumStates() + p.rev.NumStates() }
-
 var _ query.Module = (*PairModule)(nil)
-
-// StateBytes implements query.MemoryFootprint: the per-cycle forward and
-// reverse automaton states ("two states per operation must be stored" —
-// here per cycle), 4 bytes each, plus the issue and anchor lists.
-func (p *PairModule) StateBytes() int {
-	n := 4 * (len(p.fIn) + len(p.rIn))
-	for _, ins := range p.issuedAt {
-		n += 8 * len(ins)
-	}
-	for _, ins := range p.anchored {
-		n += 8 * len(ins)
-	}
-	return n
-}

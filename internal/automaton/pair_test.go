@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/query"
 	"repro/internal/resmodel"
@@ -200,5 +201,112 @@ func TestPairModuleCheckWithAlt(t *testing.T) {
 	op, ok = p.CheckWithAlt(0, 0)
 	if !ok || e.Ops[op].Name != "add.1" {
 		t.Fatalf("CheckWithAlt with p0 busy = (%d, %v)", op, ok)
+	}
+}
+
+// TestPairSteadyStateZeroAlloc is the automaton twin of the query
+// package's TestDisabledMetricsHotPathZeroAlloc: the pair module's
+// steady-state hot path — point checks, range scans, assign/free churn —
+// allocates nothing.
+func TestPairSteadyStateZeroAlloc(t *testing.T) {
+	e := machines.Example().Expand()
+	p := newPair(t, e)
+	ops := len(e.Ops)
+	warm := func() {
+		for c := 0; c < 24; c++ {
+			for op := 0; op < ops; op++ {
+				if p.Check(op, c) {
+					p.Assign(op, c, c*ops+op)
+					p.Free(op, c, c*ops+op)
+				}
+				p.FirstFree(op, c, c+8)
+				p.FirstFreeWithAlt(op%len(e.AltGroup), c, c+8)
+			}
+		}
+	}
+	warm() // grow the horizon, instance buckets and eviction scratch
+	if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
+		t.Errorf("steady-state pair-module ops allocate %.1f per pass, want 0", allocs)
+	}
+}
+
+// TestPairRangeMatchesNaive pins the range queries against the naive
+// per-cycle reference on partially filled schedules, and pins the
+// FirstFreeCycles accounting to the naive-equivalent probe count, the
+// unit every backend charges range queries in.
+func TestPairRangeMatchesNaive(t *testing.T) {
+	for _, name := range []string{"example", "mips"} {
+		m := machines.ByName(name)
+		red := core.Reduce(m.Expand(), core.Objective{Kind: core.ResUses})
+		if err := red.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		e := red.Reduced
+		p := newPair(t, e)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 40; i++ {
+			op, c := rng.Intn(len(e.Ops)), rng.Intn(24)
+			if p.Check(op, c) {
+				p.Assign(op, c, i)
+			}
+		}
+		for i := 0; i < 60; i++ {
+			lo := rng.Intn(24)
+			hi := lo + rng.Intn(16)
+			op := rng.Intn(len(e.Ops))
+			before := p.Counters().FirstFreeCycles
+			gc, gok := p.FirstFree(op, lo, hi)
+			wc, wok := query.FirstFreeNaive(p, op, lo, hi)
+			if gc != wc || gok != wok {
+				t.Fatalf("%s: FirstFree(%d, %d, %d) = (%d, %v), naive (%d, %v)",
+					name, op, lo, hi, gc, gok, wc, wok)
+			}
+			if want := query.RangeProbes(lo, hi, gc, gok); p.Counters().FirstFreeCycles-before != want {
+				t.Fatalf("%s: FirstFree(%d, %d, %d) charged %d naive-equivalent probes, want %d",
+					name, op, lo, hi, p.Counters().FirstFreeCycles-before, want)
+			}
+
+			orig := rng.Intn(len(e.AltGroup))
+			ga, gc2, gok2 := p.FirstFreeWithAlt(orig, lo, hi)
+			wa, wc2, wok2 := query.FirstFreeWithAltNaive(p, orig, lo, hi)
+			if ga != wa || gc2 != wc2 || gok2 != wok2 {
+				t.Fatalf("%s: FirstFreeWithAlt(%d, %d, %d) = (%d, %d, %v), naive (%d, %d, %v)",
+					name, orig, lo, hi, ga, gc2, gok2, wa, wc2, wok2)
+			}
+		}
+	}
+}
+
+// TestPairResetInPlace pins the arena-reuse contract: Reset returns the
+// module to the empty schedule without reallocating its grown state, so
+// steady-state corpus scheduling through sched.Arena stays
+// allocation-free on the pair module too.
+func TestPairResetInPlace(t *testing.T) {
+	e := machines.Example().Expand()
+	p := newPair(t, e)
+	fresh := newPair(t, e)
+	pass := func() {
+		for c := 0; c < 20; c++ {
+			for op := 0; op < len(e.Ops); op++ {
+				if p.Check(op, c) {
+					p.Assign(op, c, c*len(e.Ops)+op)
+				}
+			}
+		}
+		p.Reset()
+	}
+	pass() // warm: grow horizon and buckets once
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Errorf("assign-churn + Reset allocates %.1f per pass after warmup, want 0", allocs)
+	}
+	if got := p.Counters(); *got != (query.Counters{}) {
+		t.Errorf("counters not cleared by Reset: %+v", got)
+	}
+	for c := 0; c < 25; c++ {
+		for op := 0; op < len(e.Ops); op++ {
+			if got, want := p.Check(op, c), fresh.Check(op, c); got != want {
+				t.Fatalf("after Reset, Check(%d, %d) = %v, fresh module says %v", op, c, got, want)
+			}
+		}
 	}
 }

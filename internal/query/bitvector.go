@@ -81,7 +81,7 @@ type Bitvector struct {
 	// calls so steady-state eviction allocates nothing.
 	evictScratch []int
 	ctr          Counters
-	met          *ModuleObs // nil while metrics are disabled
+	met          *moduleObs // nil while metrics are disabled
 }
 
 // NewBitvector creates a bitvector-representation module. k is the number
@@ -111,7 +111,7 @@ func NewBitvector(e *resmodel.Expanded, k, wordBits, ii int) (*Bitvector, error)
 		e: e, c: compileFor(e, ii), ii: ii, nRes: nRes, k: k, wordBits: wordBits,
 		cycMask: uint64(1)<<uint(nRes) - 1,
 		inst:    map[int]instance{},
-		met:     NewModuleObs("bitvector"),
+		met:     newModuleObs("bitvector"),
 	}
 	pt := b.c.packsFor(nRes, k)
 	b.packed = pt.packed
@@ -719,8 +719,9 @@ var _ Module = (*Bitvector)(nil)
 // original operation (used by schedulers for forced placements).
 func (b *Bitvector) AltGroupOf(origOp int) []int { return b.e.AltGroup[origOp] }
 
-// StateBytes implements MemoryFootprint: the packed reserved words plus
-// the owner grid once update mode has materialized it.
+// StateBytes reports the reserved-table storage in bytes: the packed
+// reserved words plus the owner grid once update mode has materialized
+// it.
 func (b *Bitvector) StateBytes() int {
 	n := 8 * (len(b.reserved) + len(b.mirror))
 	n += 4 * len(b.owners)

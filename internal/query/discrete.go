@@ -22,7 +22,7 @@ type Discrete struct {
 	// calls so steady-state eviction allocates nothing.
 	evictScratch []int
 	ctr          Counters
-	met          *ModuleObs // nil while metrics are disabled
+	met          *moduleObs // nil while metrics are disabled
 }
 
 // NewDiscrete creates a discrete-representation module for the machine.
@@ -33,7 +33,7 @@ func NewDiscrete(e *resmodel.Expanded, ii int) *Discrete {
 		panic(fmt.Sprintf("query: NewDiscrete: negative II %d", ii))
 	}
 	d := &Discrete{e: e, c: compileFor(e, ii), ii: ii, nRes: len(e.Resources), inst: map[int]instance{},
-		met: NewModuleObs("discrete")}
+		met: newModuleObs("discrete")}
 	if ii > 0 {
 		d.width = ii
 	} else {
@@ -225,6 +225,6 @@ var _ Module = (*Discrete)(nil)
 // original operation (used by schedulers for forced placements).
 func (d *Discrete) AltGroupOf(origOp int) []int { return d.e.AltGroup[origOp] }
 
-// StateBytes implements MemoryFootprint: 4 bytes per (resource, cycle)
-// cell (flag folded into the owner field).
+// StateBytes reports the reserved-table storage in bytes: 4 per
+// (resource, cycle) cell (flag folded into the owner field).
 func (d *Discrete) StateBytes() int { return 4 * len(d.cells) }

@@ -41,9 +41,7 @@ func FirstFreeNaive(m Module, op, lo, hi int) (int, bool) {
 }
 
 // FirstFreeWithAltNaive is the reference implementation of
-// FirstFreeWithAlt: a plain loop over CheckWithAlt. Select's
-// calibration trace also answers its range steps through it, so every
-// backend is charged the same per-check currency.
+// FirstFreeWithAlt: a plain loop over CheckWithAlt.
 func FirstFreeWithAltNaive(m Module, origOp, lo, hi int) (int, int, bool) {
 	for t := lo; t <= hi; t++ {
 		if op, ok := m.CheckWithAlt(origOp, t); ok {

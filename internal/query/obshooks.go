@@ -18,15 +18,12 @@ func (f *fnObs) observe(work int64) {
 	f.probe.Observe(work)
 }
 
-// ModuleObs holds a module's handles into the default registry. A module
-// built while metrics are disabled carries a nil *ModuleObs and every
+// moduleObs holds a module's handles into the default registry. A module
+// built while metrics are disabled carries a nil *moduleObs and every
 // hook below degenerates to an inlined nil check, keeping the query hot
 // path at 0 allocs/op and unmeasurable overhead (pinned by the alloc
-// tests and ReportAllocs benchmarks in this package). It is exported —
-// together with RangeProbes and RegisterBackend — so backends defined
-// outside this package (the automaton pair module) publish the same
-// query.<kind>.* metric names under the same hot-path bargain.
-type ModuleObs struct {
+// tests and ReportAllocs benchmarks in this package).
+type moduleObs struct {
 	check, assign, assignFree, free fnObs
 	firstFree                       fnObs
 	checkWithAlt                    *obs.Counter
@@ -37,10 +34,10 @@ type ModuleObs struct {
 	modeTransitions                 *obs.Counter
 }
 
-// NewModuleObs acquires the "query.<kind>" scope handles, or nil while
+// newModuleObs acquires the "query.<kind>" scope handles, or nil while
 // the default registry is disabled. Handles are shared by name, so every
 // module of the same kind accumulates into the same process totals.
-func NewModuleObs(kind string) *ModuleObs {
+func newModuleObs(kind string) *moduleObs {
 	if !obs.Enabled() {
 		return nil
 	}
@@ -48,7 +45,7 @@ func NewModuleObs(kind string) *ModuleObs {
 	fn := func(name string) fnObs {
 		return fnObs{calls: s.Counter(name + ".calls"), probe: s.Histogram(name + ".probe")}
 	}
-	return &ModuleObs{
+	return &moduleObs{
 		check:            fn("check"),
 		assign:           fn("assign"),
 		assignFree:       fn("assign_free"),
@@ -63,21 +60,21 @@ func NewModuleObs(kind string) *ModuleObs {
 	}
 }
 
-func (m *ModuleObs) OnCheck(work int64) {
+func (m *moduleObs) OnCheck(work int64) {
 	if m == nil {
 		return
 	}
 	m.check.observe(work)
 }
 
-func (m *ModuleObs) OnAssign(work int64) {
+func (m *moduleObs) OnAssign(work int64) {
 	if m == nil {
 		return
 	}
 	m.assign.observe(work)
 }
 
-func (m *ModuleObs) OnAssignFree(work int64, evicted int) {
+func (m *moduleObs) OnAssignFree(work int64, evicted int) {
 	if m == nil {
 		return
 	}
@@ -85,14 +82,14 @@ func (m *ModuleObs) OnAssignFree(work int64, evicted int) {
 	m.evictions.Add(int64(evicted))
 }
 
-func (m *ModuleObs) OnFree(work int64) {
+func (m *moduleObs) OnFree(work int64) {
 	if m == nil {
 		return
 	}
 	m.free.observe(work)
 }
 
-func (m *ModuleObs) OnCheckWithAlt() {
+func (m *moduleObs) OnCheckWithAlt() {
 	if m == nil {
 		return
 	}
@@ -104,7 +101,7 @@ func (m *ModuleObs) OnCheckWithAlt() {
 // ISSUE's per-op firstfree.probes histogram), plus any candidate
 // cycles the occupancy summary answered on its own
 // (query.<kind>.firstfree.summary_skips; always 0 for discrete).
-func (m *ModuleObs) OnFirstFree(work, skips int64) {
+func (m *moduleObs) OnFirstFree(work, skips int64) {
 	if m == nil {
 		return
 	}
@@ -115,23 +112,23 @@ func (m *ModuleObs) OnFirstFree(work, skips int64) {
 }
 
 // OnVerdictWords records verdict words built by the bit-parallel range
-// scan (query.<kind>.firstfree.verdict_words). Zero deltas — discrete
-// and automaton modules — record nothing.
-func (m *ModuleObs) OnVerdictWords(n int64) {
+// scan (query.<kind>.firstfree.verdict_words). Zero deltas — the
+// discrete module's — record nothing.
+func (m *moduleObs) OnVerdictWords(n int64) {
 	if m == nil || n == 0 {
 		return
 	}
 	m.verdictWords.Add(n)
 }
 
-func (m *ModuleObs) OnFirstFreeWithAlt() {
+func (m *moduleObs) OnFirstFreeWithAlt() {
 	if m == nil {
 		return
 	}
 	m.firstFreeWithAlt.Inc()
 }
 
-func (m *ModuleObs) OnModeTransition() {
+func (m *moduleObs) OnModeTransition() {
 	if m == nil {
 		return
 	}

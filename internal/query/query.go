@@ -223,12 +223,3 @@ func checkWithAlt(m Module, e *resmodel.Expanded, origOp, cycle int) (int, bool)
 type AltGrouper interface {
 	AltGroupOf(origOp int) []int
 }
-
-// MemoryFootprint reports the bytes a module devotes to reserved-table
-// state (flags, owner fields, packed words, stored automaton states) —
-// the storage the paper's Section 6 memory comparison is about. It is
-// implemented by every module in this package.
-type MemoryFootprint interface {
-	// StateBytes returns the current reserved-state storage in bytes.
-	StateBytes() int
-}

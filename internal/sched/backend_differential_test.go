@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/core"
 	"repro/internal/loopgen"
 	"repro/internal/machines"
@@ -12,28 +13,41 @@ import (
 	"repro/internal/resmodel"
 )
 
-// selectFactory returns a ModuleFactory pinned to one registered
-// backend over e via the selection chokepoint. Feasibility must be
-// established by the caller before handing the factory to worker
-// goroutines (a factory cannot report errors).
+// selectFactory returns a ModuleFactory over e: the automaton pair
+// module for "fsa" (linear only), otherwise the backend the selection
+// chokepoint serves for rep. Feasibility must be established by the
+// caller before handing the factory to worker goroutines (a factory
+// cannot report errors).
 func selectFactory(e *resmodel.Expanded, rep string) ModuleFactory {
 	return func(ii int) query.Module {
-		sel, err := query.Select(e, query.Policy{Representation: rep, II: ii})
+		m, err := buildModule(e, rep, ii)
 		if err != nil {
 			panic(err)
 		}
-		return sel.Module
+		return m
 	}
 }
 
+// buildModule builds one module of backend rep over e.
+func buildModule(e *resmodel.Expanded, rep string, ii int) (query.Module, error) {
+	if rep == "fsa" {
+		return automaton.NewPairModule(e, automaton.DefaultLimit())
+	}
+	sel, err := query.Select(e, query.Policy{Representation: rep, II: ii})
+	if err != nil {
+		return nil, err
+	}
+	return sel.Module, nil
+}
+
 // TestAcyclicCorpusBackendsIdentical is the full-corpus differential
-// suite for the hybrid backend: scheduling 200 basic blocks over the
-// reduced PA-RISC description must produce byte-identical schedules on
-// the FSA, discrete and bitvector backends — sequentially and through
-// striped per-worker arenas at 1 and 8 workers — and the backends must
-// agree on every query-count statistic the auto-selector's cost model
-// normalizes by (calls and naive-equivalent range probes; only the work
-// per probe may differ).
+// suite for the query backends and the paper's §2 comparator:
+// scheduling 200 basic blocks over the reduced PA-RISC description must
+// produce byte-identical schedules on the automaton pair module and the
+// discrete and bitvector backends — sequentially and through striped
+// per-worker arenas at 1 and 8 workers — and the backends must agree on
+// every query-count statistic (calls and naive-equivalent range probes;
+// only the work per probe may differ).
 func TestAcyclicCorpusBackendsIdentical(t *testing.T) {
 	m := machines.ByName("parisc")
 	red := core.Reduce(m.Expand(), core.Objective{Kind: core.KCycleWord, K: 64})
@@ -52,22 +66,22 @@ func TestAcyclicCorpusBackendsIdentical(t *testing.T) {
 	results := map[string][]ListResult{}
 	totals := map[string]*query.Counters{}
 	for _, rep := range backends {
-		if _, err := query.Select(e, query.Policy{Representation: rep}); err != nil {
+		if _, err := buildModule(e, rep, 0); err != nil {
 			t.Fatalf("%s infeasible on parisc/reduced: %v", rep, err)
 		}
 		rs := make([]ListResult, 0, len(dags))
 		total := &query.Counters{}
 		for _, g := range dags {
-			sel, err := query.Select(e, query.Policy{Representation: rep})
+			mod, err := buildModule(e, rep, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := OperationDriven(g, e, sel.Module)
+			r, err := OperationDriven(g, e, mod)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", rep, g.Name, err)
 			}
 			rs = append(rs, r)
-			total.AddFrom(sel.Module.Counters())
+			total.AddFrom(mod.Counters())
 		}
 		results[rep] = rs
 		totals[rep] = total
@@ -128,8 +142,8 @@ func TestAcyclicCorpusBackendsIdentical(t *testing.T) {
 // scheduler layer: modulo-scheduling a 200-loop Cydra 5 corpus through
 // arenas whose factory auto-selects per II yields exactly the pinned
 // discrete backend's schedules (backend equivalence), identically at 1
-// and 8 workers and across repeated runs (the calibration is pure and
-// cached, never wall-clock).
+// and 8 workers and across repeated runs (the selection rule is a pure
+// function of the description and II).
 func TestAutoBackendCorpusDeterministic(t *testing.T) {
 	m := machines.Cydra5()
 	red := core.Reduce(m.Expand(), core.Objective{Kind: core.KCycleWord, K: 64})

@@ -13,10 +13,10 @@ import (
 )
 
 // TestBatchBackendSelection pins the representation routing of
-// /v1/batch: the pinned FSA backend answers exactly like the reference
-// discrete backend and reports itself; "auto" reports the measured
-// winner the selection layer picks for the same description; the FSA's
-// structural limits (modulo tables, the schedule op) surface as 4xx.
+// /v1/batch: the pinned bitvector backend answers exactly like the
+// reference discrete backend and reports itself; "auto" reports the
+// backend the selection rule picks for the same description; "fsa" is
+// not a served representation and gets a 400 naming the valid ones.
 func TestBatchBackendSelection(t *testing.T) {
 	s := New(Config{})
 	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
@@ -34,7 +34,7 @@ func TestBatchBackendSelection(t *testing.T) {
 	}
 
 	results := map[string]string{}
-	for _, rep := range []string{"discrete", "bitvector", "fsa"} {
+	for _, rep := range []string{"discrete", "bitvector"} {
 		rec := post(t, h, "/v1/batch", BatchRequest{Machine: "ex", Representation: rep, Ops: ops})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", rep, rec.Code, rec.Body.String())
@@ -49,12 +49,12 @@ func TestBatchBackendSelection(t *testing.T) {
 		}
 		results[rep] = string(raw)
 	}
-	if results["fsa"] != results["discrete"] || results["bitvector"] != results["discrete"] {
-		t.Errorf("backends disagree on the same sequence:\ndiscrete:  %s\nbitvector: %s\nfsa:       %s",
-			results["discrete"], results["bitvector"], results["fsa"])
+	if results["bitvector"] != results["discrete"] {
+		t.Errorf("backends disagree on the same sequence:\ndiscrete:  %s\nbitvector: %s",
+			results["discrete"], results["bitvector"])
 	}
 
-	// "auto" serves the measured winner and reports it.
+	// "auto" serves the rule's choice and reports it.
 	rec := post(t, h, "/v1/batch", BatchRequest{Machine: "ex", Representation: "auto", Ops: ops})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("auto: status %d: %s", rec.Code, rec.Body.String())
@@ -71,21 +71,13 @@ func TestBatchBackendSelection(t *testing.T) {
 		t.Errorf("auto answers differ from discrete:\n%s\nvs\n%s", raw, results["discrete"])
 	}
 
-	// Structural limits: the FSA is linear-only and cannot serve the
-	// schedule op's per-II arenas.
-	rec = post(t, h, "/v1/batch", BatchRequest{Machine: "ex", Representation: "fsa", II: 3,
-		Ops: []BatchOp{{Fn: "check"}}})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("fsa with ii=3: status %d, want 400 (%s)", rec.Code, rec.Body.String())
-	}
+	// The pair automaton is a library comparator, not a served backend.
 	rec = post(t, h, "/v1/batch", BatchRequest{Machine: "ex", Representation: "fsa",
-		Ops: []BatchOp{{Fn: "schedule", Loop: &LoopSpec{Ops: []int{0}}}}})
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "schedule") {
-		t.Errorf("fsa schedule op: status %d, want 400 naming the schedule op (%s)", rec.Code, rec.Body.String())
-	}
+		Ops: []BatchOp{{Fn: "check"}}})
+	assertBadRepresentation(t, rec, "batch fsa")
 
-	// "auto" serves the schedule op: its per-II arenas re-select with
-	// the FSA auto-excluded for ii > 0.
+	// "auto" serves the schedule op: its per-II arenas re-select under
+	// the same rule.
 	rec = post(t, h, "/v1/batch", BatchRequest{Machine: "ex", Representation: "auto",
 		Ops: []BatchOp{{Fn: "schedule", Loop: &LoopSpec{Ops: []int{0, 1}, Edges: []LoopEdge{
 			{From: 0, To: 1, Delay: 2}}}}}})
@@ -109,9 +101,9 @@ func TestSessionAndStreamBackend(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	si := createSession(t, h, SessionRequest{Machine: "ex", Representation: "fsa"})
-	if si.Representation != "fsa" || si.Backend != "fsa" {
-		t.Errorf("fsa session: rep %q backend %q", si.Representation, si.Backend)
+	si := createSession(t, h, SessionRequest{Machine: "ex", Representation: "bitvector"})
+	if si.Representation != "bitvector" || si.Backend != "bitvector" {
+		t.Errorf("bitvector session: rep %q backend %q", si.Representation, si.Backend)
 	}
 	lines := postStream(t, ts.URL, si.SessionID, []BatchOp{
 		{Fn: "check", Op: 0, Cycle: 0},
@@ -122,15 +114,15 @@ func TestSessionAndStreamBackend(t *testing.T) {
 	if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || !tr.Done {
 		t.Fatalf("trailer %s (err %v)", lines[len(lines)-1], err)
 	}
-	if tr.Backend != "fsa" {
-		t.Errorf("stream trailer backend %q, want fsa", tr.Backend)
+	if tr.Backend != "bitvector" {
+		t.Errorf("stream trailer backend %q, want bitvector", tr.Backend)
 	}
 	if tr.Counters.CheckCalls == 0 || tr.Counters.AssignCalls != 1 || tr.Counters.FirstFreeCalls != 1 {
-		t.Errorf("fsa session counters not threaded: %+v", tr.Counters)
+		t.Errorf("bitvector session counters not threaded: %+v", tr.Counters)
 	}
 	info := decodeBody[SessionInfo](t, get(t, h, "/v1/sessions/"+si.SessionID))
-	if info.Backend != "fsa" {
-		t.Errorf("session info backend %q, want fsa", info.Backend)
+	if info.Backend != "bitvector" {
+		t.Errorf("session info backend %q, want bitvector", info.Backend)
 	}
 
 	sel, err := query.Select(s.lookup("ex").expandedFor("reduced"), query.Policy{Representation: "auto"})
@@ -143,9 +135,15 @@ func TestSessionAndStreamBackend(t *testing.T) {
 			si.Representation, si.Backend, sel.Backend)
 	}
 
-	// A linear-only backend cannot back a modulo session.
-	rec := post(t, h, "/v1/sessions", SessionRequest{Machine: "ex", Representation: "fsa", II: 4})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("fsa session with ii=4: status %d, want 400 (%s)", rec.Code, rec.Body.String())
+	rec := post(t, h, "/v1/sessions", SessionRequest{Machine: "ex", Representation: "fsa"})
+	assertBadRepresentation(t, rec, "session fsa")
+}
+
+// assertBadRepresentation requires a 400 whose message names every
+// served representation.
+func assertBadRepresentation(t *testing.T, rec *httptest.ResponseRecorder, what string) {
+	t.Helper()
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "discrete, bitvector or auto") {
+		t.Errorf("%s: status %d, want 400 naming discrete, bitvector or auto (%s)", what, rec.Code, rec.Body.String())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	_ "repro/internal/automaton" // registers the "fsa" query backend
 	"repro/internal/ddg"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -23,10 +22,10 @@ type BatchRequest struct {
 	Machine string `json:"machine"`
 	// Use selects "reduced" (default) or "original" description.
 	Use string `json:"use,omitempty"`
-	// Representation selects "discrete" (default), "bitvector", "fsa"
-	// (the forbidden-latency pair automaton, linear tables only) or
-	// "auto" (measured per-machine selection; the chosen backend is
-	// reported in the response).
+	// Representation selects "discrete" (default), "bitvector" or
+	// "auto" (the bitvector when the description fits the word at the
+	// requested packing, else discrete; the chosen backend is reported
+	// in the response).
 	Representation string `json:"representation,omitempty"`
 	// K is the bitvector packing (cycles per word); 0 selects the
 	// densest legal packing for the description's resource count.
@@ -106,7 +105,7 @@ type BatchResult struct {
 
 // BatchResponse is the body of a successful POST /v1/batch. Backend is
 // the concrete backend that served the batch — equal to Representation
-// when one was pinned, the measured winner under "auto".
+// when one was pinned, the rule's choice under "auto".
 type BatchResponse struct {
 	Machine        string         `json:"machine"`
 	Use            string         `json:"use"`
@@ -152,11 +151,10 @@ func (me *machineEntry) machineFor(use string) *resmodel.Machine {
 
 // buildModule validates the module configuration of a batch or session
 // request and constructs a fresh query module over the selected
-// description variant through query.Select, so every representation the
-// registry knows — including "fsa" and measured "auto" selection — is
-// served by the same chokepoint. It returns the normalized
-// use/representation strings (defaults applied) alongside the
-// selection; every invalid configuration maps to a 4xx httpError.
+// description variant through query.Select, so every representation —
+// including "auto" — is served by the same chokepoint. It returns the
+// normalized use/representation strings (defaults applied) alongside
+// the selection; every invalid configuration maps to a 4xx httpError.
 func (s *Server) buildModule(me *machineEntry, use, rep string, k, wordBits, ii int) (
 	e *resmodel.Expanded, sel *query.Selection, useOut, repOut string, herr *httpError) {
 	switch use {
@@ -175,10 +173,10 @@ func (s *Server) buildModule(me *machineEntry, use, rep string, k, wordBits, ii 
 	switch rep {
 	case "":
 		rep = "discrete"
-	case "discrete", "bitvector", "fsa", "auto":
+	case "discrete", "bitvector", "auto":
 	default:
 		return nil, nil, "", "", errf(http.StatusBadRequest,
-			"bad representation %q (want discrete, bitvector, fsa or auto)", rep)
+			"bad representation %q (want discrete, bitvector or auto)", rep)
 	}
 	sel, err := query.Select(e, query.Policy{Representation: rep, II: ii, K: k, WordBits: wordBits})
 	if err != nil {
@@ -354,7 +352,6 @@ type opExec struct {
 	e        *resmodel.Expanded
 	m        *resmodel.Machine // e's machine, for the schedule op's MII bounds
 	mod      query.Module
-	rep      string       // requested representation (normalized; may be "auto")
 	backend  string       // concrete backend serving mod
 	pol      query.Policy // module policy; schedule-op arenas re-select per II
 	ii       int
@@ -367,12 +364,11 @@ type opExec struct {
 	sa *sched.Arena
 }
 
-func newOpExec(e *resmodel.Expanded, m *resmodel.Machine, sel *query.Selection, rep string, pol query.Policy, maxCycle int) *opExec {
+func newOpExec(e *resmodel.Expanded, m *resmodel.Machine, sel *query.Selection, pol query.Policy, maxCycle int) *opExec {
 	return &opExec{
 		e:        e,
 		m:        m,
 		mod:      sel.Module,
-		rep:      rep,
 		backend:  sel.Backend,
 		pol:      pol,
 		ii:       pol.II,
@@ -402,10 +398,6 @@ func (x *opExec) execSchedule(i int, op *BatchOp, res *opResult) *httpError {
 	spec := op.Loop
 	if spec == nil {
 		return errf(http.StatusBadRequest, "op %d: schedule needs a loop", i)
-	}
-	if x.rep == "fsa" {
-		return errf(http.StatusBadRequest,
-			"op %d: representation \"fsa\" does not support the schedule op (modulo scheduling needs a reduced-table backend)", i)
 	}
 	if n := len(spec.Ops); n == 0 || n > scheduleMaxLoopOps {
 		return errf(http.StatusBadRequest, "op %d: loop has %d ops, want [1, %d]", i, len(spec.Ops), scheduleMaxLoopOps)
@@ -447,9 +439,9 @@ func (x *opExec) execSchedule(i int, op *BatchOp, res *opResult) *httpError {
 				return sel.Module
 			}
 			// Selection cannot fail for the policies buildModule admits
-			// here at any II (the fsa pin is rejected above, and the
-			// bitvector packing checks are II-independent), but serve must
-			// never panic — fall back to the reference backend.
+			// here at any II (the bitvector packing checks are
+			// II-independent), but serve must never panic — fall back to
+			// the reference backend.
 			return query.NewDiscrete(e, ii)
 		})
 	}
@@ -660,7 +652,7 @@ func (s *Server) execBatch(r *http.Request, me *machineEntry, req *BatchRequest)
 		return nil, herr
 	}
 	pol := query.Policy{Representation: rep, II: req.II, K: req.K, WordBits: req.WordBits}
-	x := newOpExec(e, me.machineFor(use), sel, rep, pol, s.cfg.MaxCycle)
+	x := newOpExec(e, me.machineFor(use), sel, pol, s.cfg.MaxCycle)
 	results := make([]BatchResult, 0, len(req.Ops))
 	var res opResult
 	for i := range req.Ops {

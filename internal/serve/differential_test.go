@@ -21,15 +21,14 @@ import (
 // description variant, linear or modulo.
 type batchCase struct {
 	use            string // "original" | "reduced"
-	representation string // "discrete" | "bitvector" | "fsa" | "auto"
+	representation string // "discrete" | "bitvector" | "auto"
 	ii             int
 }
 
 // localModule builds the same module execBatch would for the case,
 // through the same selection chokepoint. A nil return means the pinned
-// backend cannot serve this description (the FSA over its state budget
-// on a random machine); callers skip the case, mirroring the server's
-// 400.
+// backend cannot serve this description (a bitvector whose packing does
+// not fit the word); callers skip the case, mirroring the server's 400.
 func localModule(t *testing.T, e *resmodel.Expanded, c batchCase) query.Module {
 	t.Helper()
 	sel, err := query.Select(e, query.Policy{Representation: c.representation, II: c.ii})
@@ -323,8 +322,6 @@ func TestDifferentialServedVsInProcess(t *testing.T) {
 			{"original", "bitvector", ii},
 			{"reduced", "discrete", 0},
 			{"reduced", "bitvector", ii},
-			{"reduced", "fsa", 0},
-			{"original", "fsa", 0},
 			{"reduced", "auto", 0},
 			{"original", "auto", ii},
 		} {
@@ -332,7 +329,7 @@ func TestDifferentialServedVsInProcess(t *testing.T) {
 				e := sess.expandedFor(c.use)
 				probe := localModule(t, e, c)
 				if probe == nil {
-					continue // pinned backend infeasible here (FSA over budget)
+					continue // pinned backend infeasible here
 				}
 				seqSeed := rng.Int63()
 				ops := genSequence(rand.New(rand.NewSource(seqSeed)), e, probe, c.ii, assignFree, 100)
@@ -372,28 +369,6 @@ func TestDifferentialServedVsInProcess(t *testing.T) {
 					t.Errorf("machine %d %+v: served backend %q for pinned representation", i, c, full.Backend)
 				}
 
-				// Cross-representation equivalence on the wire: the FSA
-				// must answer the identical sequence exactly as the
-				// reference reduced-table backend (modulo eviction
-				// report order).
-				if c.representation == "fsa" {
-					reqD := req
-					reqD.Representation = "discrete"
-					_, dFull := postBatch(t, ts.URL, reqD)
-					a, err := json.Marshal(sortedEvicted(full.Results))
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := json.Marshal(sortedEvicted(dFull.Results))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(a, b) {
-						t.Fatalf("machine %d %+v assignFree=%v: fsa answers differ from discrete\n%s\nvs\n%s",
-							i, c, assignFree, a, b)
-					}
-				}
-
 				// The wire-level reduction theorem: replaying the same
 				// valid sequence against the other description variant
 				// yields the same answers and evicted sets (work
@@ -401,9 +376,6 @@ func TestDifferentialServedVsInProcess(t *testing.T) {
 				otherUse := "reduced"
 				if c.use == "reduced" {
 					otherUse = "original"
-				}
-				if c.representation == "fsa" && localModule(t, sess.expandedFor(otherUse), c) == nil {
-					continue // the other variant's automata exceed the budget
 				}
 				req.Use = otherUse
 				_, otherFull := postBatch(t, ts.URL, req)

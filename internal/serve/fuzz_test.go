@@ -50,9 +50,9 @@ func FuzzServeBatchDecode(f *testing.F) {
 	f.Add(mustJSON(BatchRequest{Machine: "nope", Ops: []BatchOp{{Fn: "check"}}}))
 	f.Add(mustJSON(BatchRequest{Machine: "example", Use: "shrunk", Ops: []BatchOp{{Fn: "check"}}}))
 	f.Add(mustJSON(BatchRequest{Machine: "example", Representation: "automaton"}))
-	// Representation routing: measured auto-selection, the pinned FSA
-	// backend, the FSA's linear-only rejection (ii > 0), and the FSA's
-	// schedule-op rejection.
+	// Representation routing: the auto rule, and "fsa" — not a served
+	// representation — on check, assign&free, modulo and schedule-op
+	// sequences, each of which must get the 400.
 	f.Add(mustJSON(BatchRequest{Machine: "example", Representation: "auto", Ops: []BatchOp{
 		{Fn: "check", Op: 0, Cycle: 0},
 		{Fn: "assign", Op: 0, Cycle: 4, ID: 1},
@@ -206,13 +206,13 @@ func FuzzServeSessionStream(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Rotate the session's representation by input length so the
-		// stream contract is fuzzed over the FSA backend and modulo and
-		// linear bitvectors too, while corpus replay stays deterministic
-		// per input.
+		// stream contract is fuzzed over the discrete backend and modulo
+		// and linear bitvectors too, while corpus replay stays
+		// deterministic per input.
 		body := `{"machine":"example","representation":"auto"}`
 		switch len(data) % 4 {
 		case 1:
-			body = `{"machine":"example","representation":"fsa"}`
+			body = `{"machine":"example","representation":"discrete"}`
 		case 2:
 			body = `{"machine":"example","representation":"bitvector","ii":3}`
 		case 3:

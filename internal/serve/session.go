@@ -68,8 +68,9 @@ type SessionRequest struct {
 	Machine string `json:"machine"`
 	// Use selects "reduced" (default) or "original" description.
 	Use string `json:"use,omitempty"`
-	// Representation selects "discrete" (default), "bitvector", "fsa"
-	// (linear tables only) or "auto" (measured per-machine selection).
+	// Representation selects "discrete" (default), "bitvector" or
+	// "auto" (the bitvector when the description fits the word, else
+	// discrete).
 	Representation string `json:"representation,omitempty"`
 	// K is the bitvector packing (cycles per word); 0 selects the
 	// densest legal packing.
@@ -83,7 +84,7 @@ type SessionRequest struct {
 
 // SessionInfo describes one session (create response, GET info, list
 // entries). Backend is the concrete backend serving the session's
-// module (the measured winner under "auto"). Counters is included on
+// module (the rule's choice under "auto"). Counters is included on
 // single-session GETs only.
 type SessionInfo struct {
 	SessionID      string          `json:"session_id"`
@@ -195,7 +196,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		rep:     rep,
 		ii:      req.II,
 		lock:    make(chan struct{}, 1),
-		x:       newOpExec(e, me.machineFor(use), sel, rep, pol, s.cfg.MaxCycle),
+		x:       newOpExec(e, me.machineFor(use), sel, pol, s.cfg.MaxCycle),
 	}
 	sess.lastUse.Store(now.UnixNano())
 	for range s.sessions.put(sess.id, sess) {

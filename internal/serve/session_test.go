@@ -469,12 +469,12 @@ func TestSessionSteadyStateZeroAlloc(t *testing.T) {
 		{Fn: "assign_free", Op: 0, Cycle: 0, ID: 3}, // evicts 2
 		{Fn: "free", Op: 0, Cycle: 0, ID: 3},
 	}
-	for _, rep := range []string{"discrete", "bitvector", "fsa"} {
+	for _, rep := range []string{"discrete", "bitvector"} {
 		e, sel, _, repOut, herr := s.buildModule(me, "reduced", rep, 0, 0, 0)
 		if herr != nil {
 			t.Fatalf("%s: buildModule: %s", rep, herr.msg)
 		}
-		x := newOpExec(e, me.machineFor("reduced"), sel, repOut, query.Policy{Representation: repOut}, s.cfg.MaxCycle)
+		x := newOpExec(e, me.machineFor("reduced"), sel, query.Policy{Representation: repOut}, s.cfg.MaxCycle)
 		var res opResult
 		buf := make([]byte, 0, 256)
 		run := func() {
