@@ -1,4 +1,4 @@
-# Tier-1 checks and the wall-time benchmark reports.
+# Tier-1 checks, metrics and the committed optimality-gap report.
 #
 #   make             build + test
 #   make check       fmt-check + build + vet + test + race + fuzz-smoke
@@ -8,21 +8,17 @@
 #   make fuzz-smoke  run each native fuzz target briefly (10s apiece)
 #   make serve-smoke build mdserve and drive it end to end over TCP
 #   make metrics     regenerate metrics.json + OPTGAP.md and sanity-check them
-#   make bench-reduction  regenerate BENCH_reduction.json on this host
-#   make bench-throughput regenerate BENCH_throughput.json on this host
-#   make bench-serve      regenerate BENCH_serve.json on this host
-#   make bench-opt        regenerate BENCH_opt.json on this host
 #   make opt-gap          regenerate the OPTGAP.md optimality-gap report
 #   make perfbench-vet    vet the separate perfbench benchmark module
-#   make profile          CPU+heap pprof profiles of the throughput run
-#   make bench-compare    re-measure and gate against BENCH_reduction.json,
-#                         BENCH_throughput.json, BENCH_serve.json and
-#                         BENCH_opt.json
+#   make profile          CPU+heap pprof profiles of the IMS corpus benchmark
+#
+# Wall-time performance is measured by perfbench (BENCHMARK.json):
+# python3 perfbench/run.py
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt-check bench bench-reduction bench-throughput bench-serve bench-opt perfbench-vet bench-compare bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
+.PHONY: all build test race vet fmt-check bench perfbench-vet bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
 
 all: build test
 
@@ -74,37 +70,6 @@ metrics:
 	@git diff --quiet -- OPTGAP.md || { echo "OPTGAP.md: regeneration changed the committed report" >&2; exit 1; }
 	@echo "OPTGAP.md OK"
 
-# Per-stage reduction wall time (F-matrix, genset, prune, select, exact)
-# over the Tables 1-4 workload. Commits the baseline bench-compare gates
-# against; regenerate deliberately when the pipeline legitimately changes.
-bench-reduction:
-	$(GO) run ./cmd/paper -bench-reduction BENCH_reduction.json
-
-# Streamed-corpus scheduler throughput: 100k stratified loops through
-# per-worker arenas, per representation x worker count. The headline
-# loops-per-second metric of the scheduling stack. Commits the baseline
-# bench-compare gates against; entries record the host shape, and
-# benchgate skips (not fails) entries measured under a different one.
-bench-throughput:
-	$(GO) run ./cmd/paper -bench-throughput BENCH_throughput.json
-
-# mdserve load test: the full handler stack on a loopback listener,
-# one-shot batches and stateful NDJSON session streams, at client
-# counts 1 and 8. Records req/s and p50/p99 request latency; serial_ns
-# (workload wall time) is the gated column. Commits the baseline
-# bench-compare gates against; regenerate deliberately when the serving
-# layer legitimately changes.
-bench-serve:
-	$(GO) run ./cmd/paper -bench-serve BENCH_serve.json -bench-workers 1,8
-
-# Exact-scheduler wall time: the stratified opt-gap corpus through
-# sched.Optimal at the default budget (serial_ns, the gated column) vs
-# the plain IMS pass (parallel_ns), at workers 1 and 8. Commits the
-# baseline bench-compare gates against; entries record the host shape,
-# and benchgate skips (not fails) entries measured under a different one.
-bench-opt:
-	$(GO) run ./cmd/paper -bench-opt BENCH_opt.json -bench-workers 1,8
-
 # The committed optimality-gap report: the stratified corpus scheduled by
 # the exact searcher vs the IMS heuristic, per stratum. Fully
 # deterministic (fixed corpus seed, deterministic schedulers), so
@@ -119,30 +84,15 @@ opt-gap:
 perfbench-vet:
 	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./...
 
-# pprof profiles of the scheduler-throughput hot path — the run the
-# bit-parallel verdict scan was tuned against. Every -bench-* mode
-# accepts the same flags; this target profiles the headline one.
-# Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof).
+# pprof profiles of the scheduler hot path: BenchmarkIMSCorpusRangeScan
+# (internal/sched) schedules 200 corpus loops through IMS on the reduced
+# bitvector, whose range scans are the bit-parallel verdict scan. -o
+# keeps the test binary out of the tree. Inspect with
+# `go tool pprof -top cpu.pprof` (or mem.pprof).
 profile:
-	$(GO) run ./cmd/paper -bench-throughput /tmp/BENCH_throughput.profile.json \
-		-bench-workers 1 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkIMSCorpusRangeScan$$' \
+		-cpuprofile cpu.pprof -memprofile mem.pprof -o /tmp/sched.test ./internal/sched/
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof -top cpu.pprof"
-
-# Non-tier-1 perf smoke: re-measure the per-stage, throughput, serve
-# and exact-scheduler reports and fail if anything regressed
-# more than 20% against the committed baselines. Wall-time gating is inherently
-# host-sensitive, which is why this stays out of `make check`. The
-# throughput re-measurement covers workers 1 and 8 only (the scaling
-# endpoints); the committed baseline keeps the full 1,2,4,8 sweep.
-bench-compare:
-	$(GO) run ./cmd/paper -bench-reduction /tmp/BENCH_reduction.current.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_reduction.json -current /tmp/BENCH_reduction.current.json
-	$(GO) run ./cmd/paper -bench-throughput /tmp/BENCH_throughput.current.json -bench-workers 1,8
-	$(GO) run ./cmd/benchgate -baseline BENCH_throughput.json -current /tmp/BENCH_throughput.current.json -entries '-w[18]$$'
-	$(GO) run ./cmd/paper -bench-serve /tmp/BENCH_serve.current.json -bench-workers 1,8
-	$(GO) run ./cmd/benchgate -baseline BENCH_serve.json -current /tmp/BENCH_serve.current.json
-	$(GO) run ./cmd/paper -bench-opt /tmp/BENCH_opt.current.json -bench-workers 1,8
-	$(GO) run ./cmd/benchgate -baseline BENCH_opt.json -current /tmp/BENCH_opt.current.json
 
 # Brief runs of the native fuzz targets. FuzzReducePreservesF fuzzes the
 # paper's theorem (reduction preserves the forbidden-latency matrix);

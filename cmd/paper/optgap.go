@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ddg"
@@ -163,63 +160,5 @@ func runOptGap(path string, workers, loopCount int) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d loops, %d proven)\n", path, total.loops, total.proven)
-	return nil
-}
-
-// runBenchOpt writes the exact-scheduler wall-time report
-// (BENCH_opt.json, benchReport schema): the stratified corpus scheduled
-// by sched.Optimal at the default budget (serial_ns, the column benchgate
-// gates) against the plain IMS pass (parallel_ns), one entry per worker
-// count; speedup = ims/optimal, the price of exactness. Entries record
-// the host shape so benchgate skips them on a differently-shaped host.
-func runBenchOpt(path string, workersList []int, loopCount int) error {
-	c, err := optGapCorpus(loopCount)
-	if err != nil {
-		return err
-	}
-	cfg := sched.DefaultOptimalConfig()
-	rep := benchReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Loops:       len(c.loops),
-	}
-	fmt.Fprintf(os.Stderr, "paper: bench-opt: %d loops, budget %d nodes\n", len(c.loops), cfg.MaxNodes)
-
-	for _, w := range workersList {
-		runOpt := func() { sched.OptimalBatch(c.loops, c.m, c.factory, cfg, w) }
-		runIMS := func() { sched.ScheduleBatchArena(c.loops, c.m, c.factory, cfg.IMS, w) }
-		runOpt() // warm the compiled-table cache before either side is timed
-		runIMS()
-		var optNS, imsNS int64
-		for i := 0; i < benchReps; i++ {
-			optNS = minNZ(optNS, timeIt(runOpt))
-			imsNS = minNZ(imsNS, timeIt(runIMS))
-		}
-		e := benchEntry{
-			Name:       fmt.Sprintf("sched-opt-w%d", w),
-			Workers:    w,
-			SerialNS:   optNS,
-			ParallelNS: imsNS,
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-		}
-		if optNS > 0 {
-			e.Speedup = float64(imsNS) / float64(optNS)
-		}
-		rep.Entries = append(rep.Entries, e)
-		fmt.Fprintf(os.Stderr, "paper: bench-opt: %-14s optimal %8.1fms  ims %8.1fms  ims/opt %.2fx\n",
-			e.Name, float64(optNS)/1e6, float64(imsNS)/1e6, e.Speedup)
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d entries)\n", path, len(rep.Entries))
 	return nil
 }
