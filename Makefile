@@ -31,8 +31,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The worker pools in internal/parallel, internal/forbidden, internal/core
-# and internal/tables are only meaningfully exercised under -race.
+# The worker pools in internal/parallel and their batch callers
+# (internal/sched, internal/tables) are only meaningfully exercised
+# under -race.
 race:
 	$(GO) test -race -shuffle=on ./...
 

@@ -389,57 +389,10 @@ func BenchmarkAblationObjective(b *testing.B) {
 	}
 }
 
-// --- Ablation: fast check-with-alt (alternative-union words) versus the
-// per-alternative fallback, on the alternative-heavy Cydra 5 benchmark. ---
-
-func BenchmarkAblationFastAlt(b *testing.B) {
-	m := machines.Cydra5()
-	loops := benchLoops(b, m, 60)
-	e := m.Expand()
-	kw := core.Reduce(e, core.Objective{Kind: core.KCycleWord, K: 3})
-	if err := kw.Verify(); err != nil {
-		b.Fatal(err)
-	}
-	k := query.MaxCyclesPerWord(kw.NumResources(), 64)
-	for _, fast := range []bool{false, true} {
-		name := "fallback"
-		if fast {
-			name = "fast-alt"
-		}
-		b.Run(name, func(b *testing.B) {
-			var work int64
-			for i := 0; i < b.N; i++ {
-				work = 0
-				for _, g := range loops {
-					var ctrs []*query.Counters
-					r := sched.Schedule(g, m, func(ii int) query.Module {
-						mod, err := query.NewBitvector(kw.Reduced, k, 64, ii)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if fast {
-							mod.EnableFastAlt()
-						}
-						ctrs = append(ctrs, mod.Counters())
-						return mod
-					}, sched.DefaultConfig())
-					if !r.OK {
-						b.Fatal("schedule failed")
-					}
-					for _, c := range ctrs {
-						work += c.TotalWork()
-					}
-				}
-			}
-			b.ReportMetric(float64(work), "work-units")
-		})
-	}
-}
-
-// --- Parallel execution layer: the worker-pool harness and reduction
-// pipeline at workers=1 (the serial reference) versus GOMAXPROCS. On a
-// single-core host both sub-benchmarks measure the same work, so a
-// speedup only means something on a multi-core host. ---
+// --- Parallel execution layer: the batch worker-pool harness at
+// workers=1 (the serial reference) versus GOMAXPROCS. On a single-core
+// host both sub-benchmarks measure the same work, so a speedup only
+// means something on a multi-core host. ---
 
 func parallelWorkerCounts() []int {
 	n := parallel.Workers(0)
@@ -469,21 +422,6 @@ func BenchmarkTable6Parallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tables.ComputeTable6Workers(m, loops, reps, w)
-			}
-		})
-	}
-}
-
-func BenchmarkReductionPipelineParallel(b *testing.B) {
-	e := machines.Cydra5().Expand()
-	obj := core.Objective{Kind: core.ResUses}
-	for _, w := range parallelWorkerCounts() {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := core.ReduceParallel(e, obj, w)
-				if err := res.Verify(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

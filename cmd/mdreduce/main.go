@@ -8,7 +8,6 @@
 //	mdreduce -machine cydra5 -objective res-uses
 //	mdreduce -file mymachine.mdl -objective 4-cycle-word
 //	mdreduce -machine mips -objective 2-cycle-word -stats-only
-//	mdreduce -machine cydra5 -parallel 8   # fan the pipeline across 8 workers
 //	mdreduce -machine mips -metrics -     # reduction profile as JSON on stdout
 //
 // Reductions go through the process-wide content-keyed cache: asking for
@@ -18,9 +17,8 @@
 //
 // -metrics FILE enables the observability layer and writes a validated
 // JSON snapshot of the reduction's counters and histograms
-// (generating-set sizes, branch-and-bound nodes, cache hits, worker-pool
-// shape) to FILE; "-" writes the snapshot to stdout after the normal
-// report.
+// (generating-set sizes, branch-and-bound nodes, cache hits) to FILE;
+// "-" writes the snapshot to stdout after the normal report.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mdl"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 func main() {
@@ -44,11 +41,9 @@ func main() {
 		objective = flag.String("objective", "res-uses", "res-uses or <k>-cycle-word")
 		statsOnly = flag.Bool("stats-only", false, "print statistics without the reduced description")
 		exact     = flag.Bool("exact", false, "also compute the optimal res-uses cover by branch and bound (small machines only)")
-		nParallel = flag.Int("parallel", 0, "worker-pool size for the reduction pipeline and -exact search (0 = GOMAXPROCS, 1 = serial)")
 		metrics   = flag.String("metrics", "", "enable the observability layer and write a JSON metrics snapshot to this file (\"-\" = stdout)")
 	)
 	flag.Parse()
-	workers := parallel.Workers(*nParallel)
 	if *metrics != "" {
 		obs.Default().SetEnabled(true)
 		defer func() {
@@ -70,7 +65,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	red, err := repro.ReduceParallel(m, obj, workers)
+	red, err := repro.Reduce(m, obj)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdreduce:", err)
 		os.Exit(1)
@@ -91,9 +86,9 @@ func main() {
 	fmt.Println("verification: reduced description preserves all scheduling constraints")
 
 	if *exact {
-		gen := core.GeneratingSetParallel(red.ClassMatrix, nil, workers)
+		gen := core.GeneratingSet(red.ClassMatrix, nil)
 		pruned := core.Prune(red.ClassMatrix, gen)
-		opt := core.ExactCoverWorkers(red.ClassMatrix, pruned, 2_000_000, workers)
+		opt := core.ExactCover(red.ClassMatrix, pruned, 2_000_000)
 		status := "optimal"
 		if !opt.Optimal {
 			status = "best found (search truncated)"

@@ -49,7 +49,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently admitted reduce/batch requests (0 = 2x GOMAXPROCS)")
 		deadline    = flag.Duration("deadline", 30*time.Second, "per-request deadline (admission wait + execution)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-drain timeout after SIGTERM/SIGINT")
-		workers     = flag.Int("workers", 0, "reduction worker-pool size (0 = GOMAXPROCS, 1 = serial)")
 		preload     = flag.String("preload", "", "comma-separated built-in machines to register at boot: "+strings.Join(repro.BuiltinMachines(), ", "))
 		metrics     = flag.Bool("metrics", true, "collect internal/obs metrics (served at /v1/metrics)")
 		maxMachines = flag.Int("max-machines", 0, "machine-registry capacity in entries (0 = 256, <0 = unbounded)")
@@ -57,13 +56,13 @@ func main() {
 		sessionTTL  = flag.Duration("session-ttl", 0, "idle scheduling-session expiry (0 = 5m, <0 = never)")
 	)
 	flag.Parse()
-	if err := run(*addr, *cacheCap, *maxInflight, *maxMachines, *maxSessions, *sessionTTL, *deadline, *drain, *workers, *preload, *metrics); err != nil {
+	if err := run(*addr, *cacheCap, *maxInflight, *maxMachines, *maxSessions, *sessionTTL, *deadline, *drain, *preload, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "mdserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, cacheCap, maxInflight, maxMachines, maxSessions int, sessionTTL, deadline, drain time.Duration, workers int, preload string, metrics bool) error {
+func run(addr string, cacheCap, maxInflight, maxMachines, maxSessions int, sessionTTL, deadline, drain time.Duration, preload string, metrics bool) error {
 	if metrics {
 		obs.Default().SetEnabled(true)
 	}
@@ -74,7 +73,6 @@ func run(addr string, cacheCap, maxInflight, maxMachines, maxSessions int, sessi
 		CacheCapacity:  cacheCap,
 		MaxInFlight:    maxInflight,
 		RequestTimeout: deadline,
-		Workers:        workers,
 		MaxMachines:    maxMachines,
 		MaxSessions:    maxSessions,
 		SessionTTL:     sessionTTL,

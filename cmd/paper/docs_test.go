@@ -30,16 +30,39 @@ var documented = []string{
 	".claude/skills/verify/SKILL.md",
 }
 
-// definedFlags returns the flag names main.go registers through
-// flag.String, flag.Int and flag.Bool, read from the source so main
-// need not be restructured to expose them.
-func definedFlags(t *testing.T) map[string]bool {
+// commands lists the repository's commands; each has its flags defined
+// in cmd/<name>/main.go.
+var commands = []string{"paper", "mdreduce", "mdserve", "pipesched", "mdinfo", "mddiff"}
+
+// definedFlags returns the flag names cmd/<command>/main.go registers,
+// read from the source so main need not be restructured to expose them.
+// The flag package's own -h and -help are included.
+func definedFlags(t *testing.T, command string) map[string]bool {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	src, err := os.ReadFile(filepath.Join("..", command, "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	flags, err := flagsIn(string(src))
+	if err != nil {
+		t.Fatalf("cmd/%s/main.go: %v", command, err)
+	}
+	if len(flags) == 0 {
+		t.Fatalf("found no flag definitions in cmd/%s/main.go", command)
+	}
+	flags["h"], flags["help"] = true, true
+	return flags
+}
+
+// flagsIn returns the flag names a Go source file registers through
+// flag.String, flag.Int, flag.Bool and flag.Duration.
+func flagsIn(src string) (map[string]bool, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", src, 0)
+	if err != nil {
+		return nil, err
+	}
 	flags := map[string]bool{}
+	var bad error
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
@@ -53,7 +76,7 @@ func definedFlags(t *testing.T) map[string]bool {
 			return true
 		}
 		switch sel.Sel.Name {
-		case "String", "Int", "Bool":
+		case "String", "Int", "Bool", "Duration":
 		default:
 			return true
 		}
@@ -63,15 +86,13 @@ func definedFlags(t *testing.T) map[string]bool {
 		}
 		name, err := strconv.Unquote(lit.Value)
 		if err != nil {
-			t.Fatal(err)
+			bad = err
+			return false
 		}
 		flags[name] = true
 		return true
 	})
-	if len(flags) == 0 {
-		t.Fatal("found no flag definitions in main.go")
-	}
-	return flags
+	return flags, bad
 }
 
 // makeTargets returns the rule names the Makefile defines.
@@ -109,7 +130,6 @@ func commandTail(s string, pos int) string {
 }
 
 var (
-	paperCmd = regexp.MustCompile(`\bpaper[ \t]+-`)
 	flagName = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
 	codeSpan = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
 	makeCmd  = regexp.MustCompile(`\bmake[ \t]+`)
@@ -123,11 +143,12 @@ var (
 // blank replaces s by as many spaces, keeping byte offsets intact.
 func blank(s string) string { return strings.Repeat(" ", len(s)) }
 
-// paperFlags returns every flag name a `paper -name ...` command in s
-// passes, with the line it appears on.
-func paperFlags(s string) map[string][]int {
+// commandFlags returns every flag name a `<command> -name ...` command
+// line in s passes, with the line it appears on.
+func commandFlags(s, command string) map[string][]int {
+	invocation := regexp.MustCompile(`\b` + regexp.QuoteMeta(command) + `[ \t]+-`)
 	found := map[string][]int{}
-	for _, loc := range paperCmd.FindAllStringIndex(s, -1) {
+	for _, loc := range invocation.FindAllStringIndex(s, -1) {
 		line := strings.Count(s[:loc[0]], "\n") + 1
 		for _, tok := range strings.Fields(commandTail(s, loc[1]-1)) {
 			if m := flagName.FindStringSubmatch(tok); m != nil {
@@ -165,18 +186,23 @@ func makeInvocations(s string) map[string][]int {
 }
 
 // TestDocumentedCommandsExist keeps the docs honest: every flag a
-// documented `paper` command passes is one main.go defines, and every
+// documented command passes is one its main.go defines, and every
 // documented `make` target is a Makefile rule.
 func TestDocumentedCommandsExist(t *testing.T) {
-	flags := definedFlags(t)
-	flags["h"], flags["help"] = true, true // the flag package's own
+	flags := map[string]map[string]bool{}
+	for _, command := range commands {
+		flags[command] = definedFlags(t, command)
+	}
 	targets := makeTargets(t)
 	for _, doc := range documented {
 		text := readDoc(t, doc)
-		passed := paperFlags(text)
-		for _, name := range sortedKeys(passed) {
-			if !flags[name] {
-				t.Errorf("%s:%v: paper -%s: flag provided but not defined by cmd/paper", doc, passed[name], name)
+		for _, command := range commands {
+			passed := commandFlags(text, command)
+			for _, name := range sortedKeys(passed) {
+				if !flags[command][name] {
+					t.Errorf("%s:%v: %s -%s: flag provided but not defined by cmd/%s",
+						doc, passed[name], command, name, command)
+				}
 			}
 		}
 		invoked := makeInvocations(text)
@@ -196,9 +222,36 @@ func TestDocScannersFindCommands(t *testing.T) {
 		"make verify   # = make all: build + test\n```\n" +
 		"| Table 6 | ... | `cmd/paper -fig 1`; test `TestFigure1` |\n" +
 		"prose that does not make sense is not a make command\n"
-	flags := sortedKeys(paperFlags(doc))
+	flags := sortedKeys(commandFlags(doc, "paper"))
 	if want := []string{"all", "fig", "loops", "stats", "table"}; !slices.Equal(flags, want) {
-		t.Errorf("paperFlags = %v, want %v", flags, want)
+		t.Errorf("commandFlags(paper) = %v, want %v", flags, want)
+	}
+	other := "go run ./cmd/mdreduce -machine cydra5 -parallel 4 -exact\n" +
+		"Start `mdserve -addr :0 -workers 2`; `cmd/mdinfo -file m.mdl` prints F.\n" +
+		"mdreduced -bogus and mdserve's flags are not invocations\n"
+	for command, want := range map[string][]string{
+		"mdreduce": {"exact", "machine", "parallel"},
+		"mdserve":  {"addr", "workers"},
+		"mdinfo":   {"file"},
+		"paper":    {},
+	} {
+		if got := sortedKeys(commandFlags(other, command)); !slices.Equal(got, want) {
+			t.Errorf("commandFlags(%s) = %v, want %v", command, got, want)
+		}
+	}
+	src := "package main\nimport \"flag\"\nvar (\n\td = flag.Duration(\"deadline\", 0, \"\")\n" +
+		"\tn = flag.Int(\"n\", 0, \"\")\n\tv = flag.Var(nil, \"var\", \"\")\n\tx = other.String(\"x\", \"\", \"\")\n)\n"
+	if got, err := flagsIn(src); err != nil || !got["deadline"] || !got["n"] || len(got) != 2 {
+		t.Errorf("flagsIn = %v, %v; want deadline and n only", got, err)
+	}
+	// Every command's real flag set is read; mdserve's durations count.
+	for _, command := range commands {
+		if got := definedFlags(t, command); len(got) <= 2 {
+			t.Errorf("cmd/%s: only %v found", command, got)
+		}
+	}
+	if mdserve := definedFlags(t, "mdserve"); !mdserve["deadline"] || !mdserve["session-ttl"] {
+		t.Errorf("cmd/mdserve flags %v miss its flag.Duration definitions", mdserve)
 	}
 	targets := sortedKeys(makeInvocations(doc))
 	if want := []string{"check", "fuzz-smoke", "verify"}; !slices.Equal(targets, want) {

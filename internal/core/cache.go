@@ -131,17 +131,19 @@ func NewCacheLRU(capacity int) *Cache {
 var DefaultCache = NewCacheLRU(DefaultCacheCapacity)
 
 // Reduce returns the cached reduction of e under obj, computing it with
-// ReduceParallel on first request. Concurrent requests for the same key
-// block on the single in-flight computation instead of duplicating it.
-func (c *Cache) Reduce(e *resmodel.Expanded, obj Objective, workers int) *Result {
-	res, _ := c.ReduceTracked(e, obj, workers)
+// the serial pipeline (core.Reduce) on first request. Concurrent requests
+// for the same key block on the single in-flight computation instead of
+// duplicating it. The third argument is ignored; it is kept only so that
+// existing callers still compile, and goes at the next benchmark change.
+func (c *Cache) Reduce(e *resmodel.Expanded, obj Objective, _ int) *Result {
+	res, _ := c.ReduceTracked(e, obj)
 	return res
 }
 
 // ReduceTracked is Reduce, additionally reporting whether the result was
 // served from cache (true) or computed by this call's singleflight
 // (false). Exactly one request per entry lifetime reports a miss.
-func (c *Cache) ReduceTracked(e *resmodel.Expanded, obj Objective, workers int) (*Result, bool) {
+func (c *Cache) ReduceTracked(e *resmodel.Expanded, obj Objective) (*Result, bool) {
 	key := cacheKey{fp: Fingerprint(e), kind: obj.Kind, k: obj.K}
 	c.mu.Lock()
 	var ent *cacheEntry
@@ -157,7 +159,7 @@ func (c *Cache) ReduceTracked(e *resmodel.Expanded, obj Objective, workers int) 
 	hit := true
 	ent.once.Do(func() {
 		hit = false
-		ent.res = ReduceParallel(e, obj, workers)
+		ent.res = Reduce(e, obj)
 	})
 	// The ad-hoc atomics back Stats(); the same outcome is promoted onto
 	// the default registry so -metrics profiles include cache behaviour.
@@ -219,14 +221,7 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// CachedReduce reduces through the process-wide DefaultCache with the
-// serial reference pipeline.
+// CachedReduce reduces through the process-wide DefaultCache.
 func CachedReduce(e *resmodel.Expanded, obj Objective) *Result {
 	return DefaultCache.Reduce(e, obj, 1)
-}
-
-// CachedReduceParallel reduces through the process-wide DefaultCache,
-// fanning a cache miss's pipeline across the given worker count.
-func CachedReduceParallel(e *resmodel.Expanded, obj Objective, workers int) *Result {
-	return DefaultCache.Reduce(e, obj, workers)
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
-	"repro/internal/forbidden"
 	"repro/internal/machines"
 	"repro/internal/resmodel"
 )
@@ -80,94 +77,5 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("cache holds %d entries after second objective, want 2", c.Len())
-	}
-}
-
-// genSetKey canonicalizes a generating set for comparison: the sorted
-// usage lists of all live resources.
-func genSetKey(G []*Resource) []string {
-	var keys []string
-	for _, r := range G {
-		us := r.Uses()
-		sort.Slice(us, func(i, j int) bool {
-			if us[i].Op != us[j].Op {
-				return us[i].Op < us[j].Op
-			}
-			return us[i].Cycle < us[j].Cycle
-		})
-		keys = append(keys, fmt.Sprint(us))
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// TestParallelPipelineMatchesSerial is the equivalence suite for every
-// parallel stage of the reduction pipeline: the F matrix, the generating
-// set, and the end-to-end reduction must match the serial reference
-// exactly at any worker count.
-func TestParallelPipelineMatchesSerial(t *testing.T) {
-	for _, m := range []*resmodel.Machine{machines.Cydra5(), machines.MIPS()} {
-		e := m.Expand()
-
-		serialF := forbidden.Compute(e)
-		for _, w := range []int{2, 8} {
-			if !serialF.Equal(forbidden.ComputeParallel(e, w)) {
-				t.Errorf("%s: F matrix differs at workers=%d", m.Name, w)
-			}
-		}
-
-		cls := serialF.ComputeClasses()
-		cm := serialF.Collapse(cls)
-		serialG := genSetKey(GeneratingSet(cm, nil))
-		for _, w := range []int{2, 8} {
-			parG := genSetKey(GeneratingSetParallel(cm, nil, w))
-			if len(parG) != len(serialG) {
-				t.Errorf("%s: generating set size %d at workers=%d, want %d",
-					m.Name, len(parG), w, len(serialG))
-				continue
-			}
-			for i := range serialG {
-				if parG[i] != serialG[i] {
-					t.Errorf("%s: generating set differs at workers=%d: %s vs %s",
-						m.Name, w, parG[i], serialG[i])
-					break
-				}
-			}
-		}
-
-		for _, obj := range []Objective{{Kind: ResUses}, {Kind: KCycleWord, K: 3}} {
-			serial := Reduce(e, obj)
-			par := ReduceParallel(e, obj, 8)
-			if err := par.Verify(); err != nil {
-				t.Errorf("%s/%v: parallel reduction fails verification: %v", m.Name, obj, err)
-			}
-			if serial.NumResources() != par.NumResources() || serial.NumUsages() != par.NumUsages() {
-				t.Errorf("%s/%v: parallel reduction %d res/%d uses, serial %d/%d",
-					m.Name, obj, par.NumResources(), par.NumUsages(),
-					serial.NumResources(), serial.NumUsages())
-			}
-			if !serial.ClassMatrix.Equal(par.ClassMatrix) {
-				t.Errorf("%s/%v: class matrices differ between serial and parallel", m.Name, obj)
-			}
-		}
-	}
-}
-
-// TestExactCoverWorkersSameOptimum checks the shared-bound branch and
-// bound: the optimum usage count is invariant under worker count (the
-// witness cover may legitimately differ).
-func TestExactCoverWorkersSameOptimum(t *testing.T) {
-	for _, m := range []*resmodel.Machine{machines.Cydra5(), machines.MIPS()} {
-		f := forbidden.Compute(m.Expand())
-		cm := f.Collapse(f.ComputeClasses())
-		G := Prune(cm, GeneratingSet(cm, nil))
-		serial := ExactCover(cm, G, 200_000)
-		for _, w := range []int{2, 8} {
-			par := ExactCoverWorkers(cm, G, 200_000, w)
-			if par.Optimal != serial.Optimal || (serial.Optimal && par.Usages != serial.Usages) {
-				t.Errorf("%s: workers=%d cover (usages=%d optimal=%v), serial (usages=%d optimal=%v)",
-					m.Name, w, par.Usages, par.Optimal, serial.Usages, serial.Optimal)
-			}
-		}
 	}
 }

@@ -3,12 +3,10 @@ package core
 import (
 	"math/bits"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/forbidden"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // ExactCoverResult is the outcome of the optimal cover search.
@@ -23,7 +21,7 @@ type ExactCoverResult struct {
 	// Nodes is the number of search nodes explored.
 	Nodes int
 	// BoundImprovements counts complete covers that improved on the
-	// shared best bound (0 = the greedy seed was never beaten).
+	// best bound (0 = the greedy seed was never beaten).
 	BoundImprovements int
 }
 
@@ -33,29 +31,16 @@ type ExactCoverResult struct {
 // fast heuristic (Section 5). It is exponential and intended for small
 // machines, to quantify how close the greedy SelectCover lands; maxNodes
 // bounds the search (0 means 1e6).
-func ExactCover(m *forbidden.Matrix, G []*Resource, maxNodes int) ExactCoverResult {
-	return ExactCoverWorkers(m, G, maxNodes, 1)
-}
-
-// ExactCoverWorkers is ExactCover with the branch and bound fanned over a
-// worker pool: a depth-limited serial expansion collects the frontier of
-// independent subtrees, and each subtree searches on its own state while
-// all workers share one atomic best-usages bound (an improvement found in
-// one subtree immediately prunes the others) and one node budget. The
-// optimum value is identical at every worker count (the bound only
-// tightens); the witness selection may be a different optimum.
-// workers <= 1 is the serial reference path.
 //
-// The search itself runs entirely on dense indices: triples live in a
-// flat cover-count array, per-resource selections are bitset words, and
-// the triples generated by a usage pair come from a precomputed
+// The search runs entirely on dense indices: triples live in a flat
+// cover-count array, per-resource selections are bitset words, and the
+// triples generated by a usage pair come from a precomputed
 // pair-to-triple table — the per-node loop performs no map operations and
 // no allocations (pinned by TestExactSearchZeroAlloc).
-func ExactCoverWorkers(m *forbidden.Matrix, G []*Resource, maxNodes, workers int) ExactCoverResult {
+func ExactCover(m *forbidden.Matrix, G []*Resource, maxNodes int) ExactCoverResult {
 	if maxNodes <= 0 {
 		maxNodes = 1 << 20
 	}
-	workers = parallel.Workers(workers)
 	start := time.Now()
 
 	in := newExactInstance(m, G)
@@ -64,60 +49,21 @@ func ExactCoverWorkers(m *forbidden.Matrix, G []*Resource, maxNodes, workers int
 	greedy := SelectCover(m, G, Objective{Kind: ResUses})
 	sh := &exactShared{maxNodes: int64(maxNodes)}
 	sh.best = ExactCoverResult{Selected: greedy, Usages: totalUsages(greedy)}
-	sh.bm.Reset(int64(sh.best.Usages))
 	in.sh = sh
 
-	var maxDepth atomic.Int64
-	completed := true
-	if workers <= 1 {
-		st := in.newState()
-		completed = st.search(0)
-		maxDepth.Store(int64(st.maxDepth))
-	} else {
-		// Serial depth-limited expansion collects the frontier; each
-		// frontier path replays onto a per-worker state and searches its
-		// subtree. The shared bound and node budget link their pruning.
-		var tasks [][]exactCand
-		root := in.newState()
-		if !root.expand(0, in.spawnDepth(workers), nil, &tasks) {
-			completed = false
-		}
-		maxDepth.Store(int64(root.maxDepth))
-		var incomplete atomic.Bool
-		parallel.ForEachState(len(tasks), workers, in.newState, func(st *exactState, i int) {
-			path := tasks[i]
-			var undos [8][2]bool
-			for j, c := range path {
-				undos[j] = st.apply(c)
-			}
-			if !st.search(len(path)) {
-				incomplete.Store(true)
-			}
-			for j := len(path) - 1; j >= 0; j-- {
-				st.undo(path[j], undos[j])
-			}
-			for {
-				old := maxDepth.Load()
-				if int64(st.maxDepth) <= old || maxDepth.CompareAndSwap(old, int64(st.maxDepth)) {
-					break
-				}
-			}
-		})
-		if incomplete.Load() {
-			completed = false
-		}
-	}
+	st := in.newState()
+	completed := st.search(0)
 
 	best := sh.best
 	best.Optimal = completed
-	best.Nodes = int(sh.nodes.Load())
-	best.BoundImprovements = int(sh.bm.Improvements())
+	best.Nodes = int(sh.nodes)
+	best.BoundImprovements = sh.improvements
 	if obs.Enabled() {
 		s := obs.Default().Scope("core").Scope("exact")
 		s.Counter("searches").Inc()
 		s.Counter("nodes").Add(int64(best.Nodes))
 		s.Counter("bound_improvements").Add(int64(best.BoundImprovements))
-		s.Histogram("depth").Observe(maxDepth.Load())
+		s.Histogram("depth").Observe(int64(st.maxDepth))
 		if !best.Optimal {
 			s.Counter("truncated").Inc()
 		}
@@ -135,23 +81,21 @@ func totalUsages(sel []Selected) int {
 	return n
 }
 
-// exactShared is the state shared by all concurrent subtree searches: the
-// node budget and the best cover found so far. The BoundedMin bound is
-// the lock-free pruning bound read on every search node; best itself is
-// only written inside TryImprove's install callback.
+// exactShared is the search-wide state: the node budget and the best
+// cover found so far, whose usage count is the pruning bound.
 type exactShared struct {
-	nodes    atomic.Int64
-	maxNodes int64
-	bm       BoundedMin
-	best     ExactCoverResult
+	nodes        int64
+	maxNodes     int64
+	best         ExactCoverResult
+	improvements int
 }
 
-// record installs a complete cover if it still improves on the best.
+// record installs a complete cover. search only reaches a complete cover
+// that is strictly below the bound, so every call is an improvement.
 func (sh *exactShared) record(usages int, st *exactState) {
-	sh.bm.TryImprove(int64(usages), func() {
-		sh.best.Usages = usages
-		sh.best.Selected = st.snapshot()
-	})
+	sh.best.Usages = usages
+	sh.best.Selected = st.snapshot()
+	sh.improvements++
 }
 
 // exactCand is one way to cover a triple: select usages a and b (dense
@@ -162,7 +106,7 @@ type exactCand struct {
 }
 
 // exactInstance is the dense, immutable description of one exact-cover
-// problem, shared read-only by every search state.
+// problem, read by the search state.
 type exactInstance struct {
 	G    []*Resource
 	ti   *tripleIndex
@@ -276,19 +220,6 @@ func (in *exactInstance) buildLB() {
 	}
 }
 
-// spawnDepth picks the frontier depth for parallel subtree spawning: the
-// root's own branching when it is already wide enough to load the pool,
-// one extra level otherwise.
-func (in *exactInstance) spawnDepth(workers int) int {
-	if in.numT == 0 {
-		return 1
-	}
-	if len(in.cands[in.order[0]]) >= 4*workers {
-		return 1
-	}
-	return 2
-}
-
 // exactState is one search's mutable state: flat cover counts per dense
 // triple and per-resource selection bitsets. All slices are allocated at
 // construction; search/apply/undo/coverDelta never allocate.
@@ -325,21 +256,21 @@ func (in *exactInstance) newState() *exactState {
 // search explores selections; returns false if the node budget was hit.
 func (s *exactState) search(depth int) bool {
 	sh := s.in.sh
-	if sh.nodes.Add(1) > sh.maxNodes {
+	sh.nodes++
+	if sh.nodes > sh.maxNodes {
 		return false
 	}
 	if depth > s.maxDepth {
 		s.maxDepth = depth
 	}
 	// Admissible lower bound: no completion of this node can beat the
-	// shared best, so prune (lbFor[0] = 0 keeps the complete-cover case
+	// best so far, so prune (lbFor[0] = 0 keeps the complete-cover case
 	// exact).
-	if sh.bm.Prunes(int64(s.usages) + int64(s.in.lbFor[s.uncovered])) {
+	if s.usages+int(s.in.lbFor[s.uncovered]) >= sh.best.Usages {
 		return true
 	}
 	if s.uncovered == 0 {
-		// Complete cover, strictly better than the bound read above (the
-		// shared record re-checks under the lock).
+		// Complete cover, strictly better than the bound checked above.
 		sh.record(s.usages, s)
 		return true
 	}
@@ -359,53 +290,7 @@ func (s *exactState) search(depth int) bool {
 			complete = false
 		}
 		s.undo(c, added)
-		if sh.nodes.Load() > sh.maxNodes {
-			return false
-		}
-	}
-	return complete
-}
-
-// expand runs the same node logic as search but stops recursing at the
-// given depth limit, collecting each frontier branch as a candidate path
-// for a pool task instead. Frontier nodes are not counted here — the
-// task's search counts them — so the node budget sees every node exactly
-// once. Returns false if the budget was exhausted during expansion.
-func (s *exactState) expand(depth, limit int, path []exactCand, out *[][]exactCand) bool {
-	sh := s.in.sh
-	if sh.nodes.Add(1) > sh.maxNodes {
-		return false
-	}
-	if depth > s.maxDepth {
-		s.maxDepth = depth
-	}
-	if sh.bm.Prunes(int64(s.usages) + int64(s.in.lbFor[s.uncovered])) {
-		return true
-	}
-	if s.uncovered == 0 {
-		sh.record(s.usages, s)
-		return true
-	}
-	var pick int32 = -1
-	for _, t := range s.in.order {
-		if s.covered[t] == 0 {
-			pick = t
-			break
-		}
-	}
-	complete := true
-	for _, c := range s.in.cands[pick] {
-		added := s.apply(c)
-		if depth+1 >= limit {
-			p := make([]exactCand, len(path)+1)
-			copy(p, path)
-			p[len(path)] = c
-			*out = append(*out, p)
-		} else if !s.expand(depth+1, limit, append(path, c), out) {
-			complete = false
-		}
-		s.undo(c, added)
-		if sh.nodes.Load() > sh.maxNodes {
+		if sh.nodes > sh.maxNodes {
 			return false
 		}
 	}

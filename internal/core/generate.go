@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/forbidden"
-	"repro/internal/parallel"
 )
 
 // Rule identifies which rule of Algorithm 1 fired for a trace step.
@@ -74,24 +73,6 @@ type Trace struct {
 // maximal resource of the target machine, possibly alongside some
 // submaximal ones (Theorem 1); Prune removes the latter.
 func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
-	return GeneratingSetParallel(m, tr, 1)
-}
-
-// scanThreshold is the live-resource count below which the
-// pair-compatibility scan is not worth fanning out (goroutine overhead
-// exceeds the scan work on small generating sets).
-const scanThreshold = 24
-
-// GeneratingSetParallel is GeneratingSet with the pair-compatibility
-// scans fanned across a worker pool. For each elementary pair, testing
-// the pair against one resource of the current set is read-only (it
-// consults only that resource's usages and the forbidden-latency matrix),
-// so the scans of all resources run concurrently; the rule applications,
-// which mutate the set, stay serial and in the original deterministic
-// order. The constructed set is identical at every worker count because
-// resources in G[:snap] are never mutated before their own rule fires.
-func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resource {
-	workers = parallel.Workers(workers)
 	opName := func(i int) string { return fmt.Sprintf("op%d", i) }
 	if tr != nil && tr.OpName != nil {
 		opName = tr.OpName
@@ -142,14 +123,10 @@ func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resou
 		return true
 	}
 
-	// scan is the outcome of testing one elementary pair against one
-	// resource of the current set: whether every usage is compatible with
-	// both pair usages, and the compatible subset otherwise.
-	type scan struct {
-		fully      bool
-		compatible []uint32
-	}
-	var scans []scan
+	// compatible is the scan buffer: the usages of the resource under
+	// test that are compatible with both pair usages. newResource copies
+	// what it keeps, so the buffer is reused across rule applications.
+	var compatible []uint32
 
 	for _, p := range elementaryPairs(m) {
 		u0, u1 := p.usages()
@@ -160,32 +137,14 @@ func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resou
 		}
 
 		snap := len(G) // resources created for this pair are not reprocessed with it
-
-		// Phase 1: compatibility scans. Read-only against the matrix and
-		// each resource's usage set, so they fan out across workers.
-		// Resources in G[:snap] are only ever mutated by their own Rule 1
-		// application below, which consumes this scan first, so scanning
-		// ahead of the serial rule applications sees exactly the usage
-		// sets the serial algorithm would.
-		if cap(scans) < snap {
-			// Grow while keeping the old slots: their compatible buffers are
-			// reused across pairs, so steady state allocates nothing here.
-			grown := make([]scan, snap)
-			copy(grown, scans[:cap(scans)])
-			scans = grown
-		}
-		scans = scans[:snap]
-		scanWorkers := 1
-		if workers > 1 && snap >= scanThreshold {
-			scanWorkers = workers
-		}
-		parallel.ForEach(snap, scanWorkers, func(i int) {
+		for i := 0; i < snap; i++ {
 			q := G[i]
 			if q.dead {
-				scans[i] = scan{compatible: scans[i].compatible[:0]}
-				return
+				continue
 			}
-			compatible := scans[i].compatible[:0]
+			// Compatibility scan: is every usage of q compatible with both
+			// pair usages, and which ones are?
+			compatible = compatible[:0]
 			fully := true
 			for _, u := range q.uses {
 				if compat(m, u, u0) && compat(m, u, u1) {
@@ -194,18 +153,6 @@ func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resou
 					fully = false
 				}
 			}
-			scans[i] = scan{fully: fully, compatible: compatible}
-		})
-
-		// Phase 2: rule applications, serial and in set order (they mutate
-		// the set). Deadness is re-checked here: a resource tombstoned by
-		// an earlier application is skipped exactly as in the serial walk.
-		for i := 0; i < snap; i++ {
-			q := G[i]
-			if q.dead {
-				continue
-			}
-			fully, compatible := scans[i].fully, scans[i].compatible
 			switch {
 			case fully:
 				// Rule 1: add the pair's usages to q in place, then restore

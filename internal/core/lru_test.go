@@ -136,16 +136,16 @@ func TestCacheCapacityBound(t *testing.T) {
 
 	// The three most recent (5, 6, 7) are resident: touching 5 then
 	// inserting an evicted machine must evict 6 (the LRU), not 5.
-	if _, hit := c.ReduceTracked(es[5], obj, 1); !hit {
+	if _, hit := c.ReduceTracked(es[5], obj); !hit {
 		t.Error("most-recent entry was evicted; want resident hit")
 	}
-	if _, hit := c.ReduceTracked(es[0], obj, 1); hit {
+	if _, hit := c.ReduceTracked(es[0], obj); hit {
 		t.Error("long-evicted entry reported as hit")
 	}
-	if _, hit := c.ReduceTracked(es[5], obj, 1); !hit {
+	if _, hit := c.ReduceTracked(es[5], obj); !hit {
 		t.Error("recently-touched entry evicted before LRU sibling")
 	}
-	if _, hit := c.ReduceTracked(es[6], obj, 1); hit {
+	if _, hit := c.ReduceTracked(es[6], obj); hit {
 		t.Error("LRU entry survived eviction ahead of a recently-touched one")
 	}
 
@@ -184,7 +184,7 @@ func TestCacheEvictedRecomputeSharesNothing(t *testing.T) {
 
 	first := c.Reduce(e1, obj, 1)
 	c.Reduce(e2, obj, 1) // evicts e1
-	second, hit := c.ReduceTracked(e1, obj, 1)
+	second, hit := c.ReduceTracked(e1, obj)
 	if hit {
 		t.Fatal("evicted entry served as hit")
 	}

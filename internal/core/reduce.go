@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/forbidden"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/resmodel"
 )
 
@@ -42,8 +41,6 @@ type Result struct {
 	// Trace, when requested, records the generating-set construction.
 	Trace *Trace
 
-	// workers is the pool size the reduction ran with; Verify reuses it.
-	workers int
 	// Verification is expensive (it recomputes two forbidden-latency
 	// matrices) and its outcome is immutable, so it runs once per Result;
 	// cached Results (see Cache) therefore skip re-verification for free.
@@ -54,35 +51,23 @@ type Result struct {
 // Reduce runs the full three-step reduction of the paper on an expanded
 // machine description.
 func Reduce(e *resmodel.Expanded, obj Objective) *Result {
-	return reduce(e, obj, false, 1)
-}
-
-// ReduceParallel is Reduce with the independent inner work — the
-// forbidden-matrix rows and the pair-compatibility scans of the
-// generating-set construction — fanned across a worker pool of the given
-// size (workers < 1 selects GOMAXPROCS). The Result is identical to
-// Reduce's at every worker count; workers == 1 is the serial reference.
-func ReduceParallel(e *resmodel.Expanded, obj Objective, workers int) *Result {
-	return reduce(e, obj, false, parallel.Workers(workers))
+	return reduce(e, obj, false)
 }
 
 // ReduceTraced is Reduce with Figure-3-style trace collection enabled.
 func ReduceTraced(e *resmodel.Expanded, obj Objective) *Result {
-	return reduce(e, obj, true, 1)
+	return reduce(e, obj, true)
 }
 
-func reduce(e *resmodel.Expanded, obj Objective, traced bool, workers int) *Result {
+func reduce(e *resmodel.Expanded, obj Objective, traced bool) *Result {
 	if err := obj.Validate(); err != nil {
 		panic(err)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	r := &Result{Input: e, Objective: obj, workers: workers}
+	r := &Result{Input: e, Objective: obj}
 
 	// Per-stage wall-time histograms (µs) live under core.stage.*, a scope
-	// determinism tests exclude: durations vary run to run and with the
-	// worker count, unlike the core.* totals above them.
+	// determinism tests exclude: durations vary run to run, unlike the
+	// core.* totals above them.
 	metered := obs.Enabled()
 	var stage obs.Scope
 	var stageStart time.Time
@@ -98,7 +83,7 @@ func reduce(e *resmodel.Expanded, obj Objective, traced bool, workers int) *Resu
 		}
 	}
 
-	r.Matrix = forbidden.ComputeParallel(e, workers)
+	r.Matrix = forbidden.Compute(e)
 	r.Classes = r.Matrix.ComputeClasses()
 	r.ClassMatrix = r.Matrix.Collapse(r.Classes)
 	endStage("fmatrix")
@@ -109,7 +94,7 @@ func reduce(e *resmodel.Expanded, obj Objective, traced bool, workers int) *Resu
 			return e.Ops[r.Classes.Rep[c]].Name
 		}}
 	}
-	gen := GeneratingSetParallel(r.ClassMatrix, tr, workers)
+	gen := GeneratingSet(r.ClassMatrix, tr)
 	r.Trace = tr
 	r.GenSetSize = len(gen)
 	endStage("genset")
@@ -191,15 +176,11 @@ func (r *Result) Verify() error {
 }
 
 func (r *Result) verify() error {
-	workers := r.workers
-	if workers < 1 {
-		workers = 1
-	}
-	got := forbidden.ComputeParallel(r.Reduced, workers)
+	got := forbidden.Compute(r.Reduced)
 	if d := got.Diff(r.Matrix, r.Input); d != "" {
 		return fmt.Errorf("core: reduced description changes scheduling constraints: %s", d)
 	}
-	gotC := forbidden.ComputeParallel(r.ReducedClass, workers)
+	gotC := forbidden.Compute(r.ReducedClass)
 	if d := gotC.Diff(r.ClassMatrix, r.ReducedClass); d != "" {
 		return fmt.Errorf("core: class-level reduced description changes scheduling constraints: %s", d)
 	}

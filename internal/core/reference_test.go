@@ -328,9 +328,8 @@ func TestPruneMatchesReference(t *testing.T) {
 }
 
 // TestExactCoverMatchesReference: on random small machines, the dense
-// branch and bound finds the same optimum as the map-based reference —
-// at workers 1 and 8 — whenever the reference completes within the node
-// budget, and its witness is always a valid exact cover. The lower-bound
+// branch and bound finds the same optimum as the map-based reference
+// whenever the reference completes within the node budget, and its witness is always a valid exact cover. The lower-bound
 // pruning only discards subtrees that cannot improve the incumbent, so a
 // budget sufficient for the reference is sufficient for the rewrite.
 func TestExactCoverMatchesReference(t *testing.T) {
@@ -346,26 +345,24 @@ func TestExactCoverMatchesReference(t *testing.T) {
 		cm := m.Collapse(m.ComputeClasses())
 		pruned := Prune(cm, GeneratingSet(cm, nil))
 		ref := refExactCover(cm, pruned, budget)
-		for _, w := range []int{1, 8} {
-			got := ExactCoverWorkers(cm, pruned, budget, w)
-			switch {
-			case ref.optimal:
-				if !got.Optimal {
-					t.Errorf("machine %d workers %d: reference optimal in %d nodes, rewrite truncated at %d",
-						i, w, ref.nodes, got.Nodes)
-					continue
-				}
-				if got.Usages != ref.usages {
-					t.Errorf("machine %d workers %d: optimum %d, reference %d", i, w, got.Usages, ref.usages)
-				}
-			case got.Optimal && got.Usages > ref.usages:
-				t.Errorf("machine %d workers %d: claimed optimum %d worse than truncated reference best %d",
-					i, w, got.Usages, ref.usages)
+		got := ExactCover(cm, pruned, budget)
+		switch {
+		case ref.optimal:
+			if !got.Optimal {
+				t.Errorf("machine %d: reference optimal in %d nodes, rewrite truncated at %d",
+					i, ref.nodes, got.Nodes)
+				continue
 			}
-			built := buildFromSelection(cm, got.Selected, nil)
-			if !forbidden.Compute(built).Equal(cm) {
-				t.Errorf("machine %d workers %d: selection is not an exact cover", i, w)
+			if got.Usages != ref.usages {
+				t.Errorf("machine %d: optimum %d, reference %d", i, got.Usages, ref.usages)
 			}
+		case got.Optimal && got.Usages > ref.usages:
+			t.Errorf("machine %d: claimed optimum %d worse than truncated reference best %d",
+				i, got.Usages, ref.usages)
+		}
+		built := buildFromSelection(cm, got.Selected, nil)
+		if !forbidden.Compute(built).Equal(cm) {
+			t.Errorf("machine %d: selection is not an exact cover", i)
 		}
 	}
 }
@@ -381,7 +378,7 @@ func TestExactSearchZeroAlloc(t *testing.T) {
 		t.Fatalf("search left state dirty: usages=%d uncovered=%d/%d", st.usages, st.uncovered, in.numT)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		sh.nodes.Store(0)
+		sh.nodes = 0
 		st.search(0)
 	})
 	if allocs != 0 {
@@ -398,7 +395,6 @@ func zeroAllocSearchState() (*exactInstance, *exactShared, *exactState) {
 	greedy := SelectCover(cm, pruned, Objective{Kind: ResUses})
 	sh := &exactShared{maxNodes: 1 << 30}
 	sh.best = ExactCoverResult{Selected: greedy, Usages: totalUsages(greedy)}
-	sh.bm.Reset(int64(sh.best.Usages))
 	in.sh = sh
 	return in, sh, in.newState()
 }
@@ -408,7 +404,7 @@ func BenchmarkExactCoverSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.nodes.Store(0)
+		sh.nodes = 0
 		st.search(0)
 	}
 }

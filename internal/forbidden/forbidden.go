@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
-	"repro/internal/parallel"
 	"repro/internal/resmodel"
 )
 
@@ -36,16 +35,9 @@ type Matrix struct {
 
 // Compute builds the forbidden-latency matrix of an expanded machine by
 // overlapping every pair of reservation tables (Step 1 of the paper).
+// Row x depends only on operation x's usages and the per-resource user
+// lists, so it is filled in one pass over x's usages.
 func Compute(e *resmodel.Expanded) *Matrix {
-	return ComputeParallel(e, 1)
-}
-
-// ComputeParallel is Compute fanned across a bounded worker pool: row x
-// of the matrix depends only on operation x's usages and the (read-only)
-// per-resource user lists, so rows are computed independently and each
-// worker writes only its own rows. The result is identical to Compute at
-// every worker count; workers <= 1 is the serial reference.
-func ComputeParallel(e *resmodel.Expanded, workers int) *Matrix {
 	n := len(e.Ops)
 	span := e.MaxSpan()
 	if span == 0 {
@@ -61,7 +53,7 @@ func ComputeParallel(e *resmodel.Expanded, workers int) *Matrix {
 			usersOf[u.Resource] = append(usersOf[u.Resource], use{oi, u.Cycle})
 		}
 	}
-	parallel.ForEach(n, workers, func(x int) {
+	for x := 0; x < n; x++ {
 		row := make([]*bitset.Signed, n)
 		for y := 0; y < n; y++ {
 			row[y] = bitset.NewSigned(-(span - 1), span-1)
@@ -74,7 +66,7 @@ func ComputeParallel(e *resmodel.Expanded, workers int) *Matrix {
 			}
 		}
 		m.sets[x] = row
-	})
+	}
 	return m
 }
 

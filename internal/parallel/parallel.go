@@ -1,7 +1,8 @@
 // Package parallel provides the bounded worker pool that fans the
-// repository's independent units of work — per-loop scheduling,
-// forbidden-matrix rows, pair-compatibility scans, branch-and-bound
-// subtrees — across GOMAXPROCS goroutines.
+// independent items of a batch — the loops of a scheduling batch or
+// stream, the kernels and loops of a table — across GOMAXPROCS
+// goroutines. A single call (one reduction, one exact search, one
+// loop's schedule) always runs serially.
 //
 // Determinism contract: workers write results into caller-indexed slots
 // and the caller merges them in index order, so any computation whose

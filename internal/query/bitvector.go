@@ -68,11 +68,6 @@ type Bitvector struct {
 	rowW       int
 	altVerdict []uint64
 
-	// Alternative-union packed words for the fast check-with-alt path
-	// (nil until EnableFastAlt).
-	altUnion  [][][]packedWord // linear: [origOp][alignment]
-	altUnion0 [][]packedWord   // modulo: [origOp]
-
 	inst       map[int]instance
 	updateMode bool
 	owners     []int32
@@ -665,18 +660,11 @@ func (b *Bitvector) clearBit(r, cycle int) {
 	}
 }
 
-// CheckWithAlt implements Module. With EnableFastAlt, a clean pass over
-// the alternatives' unioned reservation words answers for every
-// alternative at once; otherwise (or on a union conflict) alternatives
-// are checked individually.
+// CheckWithAlt implements Module: alternatives are checked individually,
+// in group order.
 func (b *Bitvector) CheckWithAlt(origOp, cycle int) (int, bool) {
 	b.ctr.CheckWithAltCalls++
 	b.met.OnCheckWithAlt()
-	if b.altUnion != nil || b.altUnion0 != nil {
-		if op, free, decided := b.fastCheckWithAlt(origOp, cycle); decided {
-			return op, free
-		}
-	}
 	return checkWithAlt(b, b.e, origOp, cycle)
 }
 

@@ -169,43 +169,3 @@ func TestQuickPredicatedReducedEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: the fast check-with-alt path gives exactly the same answers
-// and alternative choices as the fallback.
-func TestQuickFastAltEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := resmodel.DefaultRandomConfig()
-		cfg.AltProb = 0.7 // make alternatives common
-		e := resmodel.Random(rng, cfg).Expand()
-		ii := rng.Intn(8)
-		fast, err := NewBitvector(e, 1, 64, ii)
-		if err != nil {
-			return false
-		}
-		fast.EnableFastAlt()
-		slow, err := NewBitvector(e, 1, 64, ii)
-		if err != nil {
-			return false
-		}
-		id := 1
-		for step := 0; step < 100; step++ {
-			orig := rng.Intn(len(e.AltGroup))
-			cyc := rng.Intn(12)
-			opF, okF := fast.CheckWithAlt(orig, cyc)
-			opS, okS := slow.CheckWithAlt(orig, cyc)
-			if okF != okS || (okF && opF != opS) {
-				return false
-			}
-			if okF && rng.Intn(2) == 0 {
-				fast.Assign(opF, cyc, id)
-				slow.Assign(opS, cyc, id)
-				id++
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}

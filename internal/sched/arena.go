@@ -87,12 +87,9 @@ func (a *Arena) Schedule(g *ddg.Graph, m *resmodel.Machine, cfg Config) Result {
 }
 
 // OptimalInto is Optimal writing into a caller-owned OptimalResult,
-// searching on the arena's cached modules and scratch. Parallel
-// frontier workers (cfg.Workers > 1) search on fresh factory modules —
-// never the cached ones — so the arena's query counters stay
-// deterministic; outcomes are byte-identical either way.
+// searching on the arena's cached modules and scratch.
 func (a *Arena) OptimalInto(res *OptimalResult, g *ddg.Graph, m *resmodel.Machine, cfg OptimalConfig) {
-	optimalInto(res, g, m, a.moduleOf, a.factory, cfg, &a.osc)
+	optimalInto(res, g, m, a.moduleOf, cfg, &a.osc)
 	observeOptimal(res)
 }
 

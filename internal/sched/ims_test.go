@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -421,22 +422,40 @@ func TestRangeScanMatchesNaiveScan(t *testing.T) {
 	}
 }
 
+// imsCorpus holds benchmarkIMSCorpus's machine, reduction and loops,
+// built once per process: go test calls a benchmark function again for
+// every b.N it tries, and rebuilding them on each call put the reduction
+// and the corpus generator in the profile.
+var imsCorpus struct {
+	once  sync.Once
+	m     *resmodel.Machine
+	red   *core.Result
+	loops []*ddg.Graph
+	err   error
+}
+
 // benchmarkIMSCorpus schedules a slice of the loop corpus on the
 // reduced 3-cycle-word bitvector, so the range scan and the naive
 // per-cycle oracle can be compared under -benchtime averaging and
 // profiled with -cpuprofile. wrap builds the module factory.
 func benchmarkIMSCorpus(b *testing.B, wrap func(ModuleFactory) ModuleFactory) {
-	m := machines.Cydra5()
-	red := core.Reduce(m.Expand(), core.Objective{Kind: core.KCycleWord, K: 3})
-	if err := red.Verify(); err != nil {
-		b.Fatal(err)
+	c := &imsCorpus
+	c.once.Do(func() {
+		c.m = machines.Cydra5()
+		c.red = core.CachedReduce(c.m.Expand(), core.Objective{Kind: core.KCycleWord, K: 3})
+		if c.err = c.red.Verify(); c.err != nil {
+			return
+		}
+		c.loops, c.err = loopgen.Generate(c.m, loopgen.Default())
+		if c.err == nil {
+			c.loops = c.loops[:200]
+		}
+	})
+	if c.err != nil {
+		b.Fatal(c.err)
 	}
-	factory := wrap(bitvecFactory(red.Reduced, 3))
-	loops, err := loopgen.Generate(m, loopgen.Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	loops = loops[:200]
+	m, loops := c.m, c.loops
+	factory := wrap(bitvecFactory(c.red.Reduced, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range ScheduleBatch(loops, m, func(int) ModuleFactory { return factory }, Config{BudgetRatio: 6}, 1) {

@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/ddg"
 	"repro/internal/parallel"
 	"repro/internal/query"
@@ -55,19 +54,13 @@ import (
 // restriction loses no solutions and also preserves infeasibility
 // proofs.
 //
-// Parallelism reuses the exact-cover frontier machinery from
-// internal/core: the search always expands serially to a fixed depth
-// (optSpawnDepth — constant, unlike core's worker-adaptive depth, so
-// the task list is identical at every worker count), collects the
-// frontier prefixes as tasks, and runs each task as an independent
-// deterministic DFS with a fixed node budget. A core.BoundedMin over
-// the lowest solved task index lets workers skip tasks that can no
-// longer supply the canonical witness; tasks at or below the final
-// bound always run, so the result — schedule, node count, outcome — is
-// byte-identical at any Workers setting. Parallel workers search on
-// fresh factory modules (never the arena's cached ones), so arena
-// query counters stay deterministic; only obs-registry query counters
-// include speculative task work when Workers > 1.
+// Each II attempt is decomposed into frontier tasks: the search expands
+// to a fixed depth (optSpawnDepth), collects the surviving prefixes as
+// tasks, and runs each task as a deterministic DFS under an equal share
+// of the remaining node budget. Tasks run in index order and the first
+// one that finds a schedule supplies the witness, so the schedule, the
+// node count and the outcome are a pure function of the loop and the
+// budget.
 const (
 	// DefaultOptimalNodes is the default per-loop search-node budget,
 	// spent across all II attempts. On the paper's 200-loop corpus the
@@ -77,9 +70,6 @@ const (
 	DefaultOptimalNodes = 1 << 16
 
 	// optSpawnDepth is the frontier depth of the task decomposition.
-	// It is a constant — not core's worker-adaptive spawnDepth —
-	// because the task list must be identical at every worker count
-	// for results to be worker-count-invariant.
 	optSpawnDepth = 2
 
 	// optMinTaskNodes floors the per-task node budget so late tasks of
@@ -102,10 +92,6 @@ type OptimalConfig struct {
 	// MaxII caps the initiation-interval search; 0 derives the same
 	// safe cap IMS uses.
 	MaxII int
-	// Workers fans the frontier tasks of each II attempt over a worker
-	// pool (<= 1 runs them sequentially on the caller's module).
-	// Results are byte-identical at every setting.
-	Workers int
 	// IMS configures the heuristic seed pass, whose schedule doubles as
 	// the fallback when MaxNodes is exhausted with the optimality gap
 	// still open.
@@ -114,7 +100,7 @@ type OptimalConfig struct {
 
 // DefaultOptimalConfig returns the default exact-search configuration.
 func DefaultOptimalConfig() OptimalConfig {
-	return OptimalConfig{MaxNodes: DefaultOptimalNodes, Workers: 1, IMS: DefaultConfig()}
+	return OptimalConfig{MaxNodes: DefaultOptimalNodes, IMS: DefaultConfig()}
 }
 
 // OptimalResult is the outcome of an exact scheduling run. Exactly one
@@ -133,7 +119,7 @@ type OptimalResult struct {
 	// seed.
 	Fallback bool
 	// Nodes counts exact-search nodes expanded across all II attempts
-	// (identical at every Workers setting; preserved on fallback).
+	// (preserved on fallback).
 	Nodes int64
 	// InfeasibleIIs counts IIs proven infeasible before the outcome.
 	InfeasibleIIs int
@@ -148,7 +134,7 @@ type OptimalResult struct {
 func Optimal(g *ddg.Graph, m *resmodel.Machine, factory ModuleFactory, cfg OptimalConfig) OptimalResult {
 	var sc optScratch
 	var res OptimalResult
-	optimalInto(&res, g, m, factory, factory, cfg, &sc)
+	optimalInto(&res, g, m, factory, cfg, &sc)
 	observeOptimal(&res)
 	return res
 }
@@ -175,11 +161,9 @@ type optScratch struct {
 	tasks []optTask
 	sol   optSolution
 	ims   Result
-	bound core.BoundedMin
 }
 
-// optRun is the per-II description shared read-only by the expansion
-// state and every frontier worker.
+// optRun is the per-II description the search state reads.
 type optRun struct {
 	g      *ddg.Graph
 	n      int
@@ -238,13 +222,10 @@ type optCand struct {
 	alt   int
 }
 
-// optTask is one frontier prefix plus its (deterministic) outcome.
+// optTask is one frontier prefix.
 type optTask struct {
-	path    [optSpawnDepth]optCand
-	depth   int
-	status  searchStatus
-	nodes   int64
-	skipped bool
+	path  [optSpawnDepth]optCand
+	depth int
 }
 
 type searchStatus int8
@@ -516,8 +497,9 @@ func (s *optState) expand(k int, prefix *[optSpawnDepth]optCand, tasks *[]optTas
 }
 
 // runTask replays a frontier prefix (guaranteed feasible — expansion
-// pruned it) and searches its subtree under the per-task budget.
-func (s *optState) runTask(t *optTask) {
+// pruned it) and searches its subtree under the per-task budget,
+// returning the outcome and the nodes it expanded.
+func (s *optState) runTask(t *optTask) (status searchStatus, nodes int64) {
 	r := s.run
 	var marks [optSpawnDepth]int
 	for j := 0; j < t.depth; j++ {
@@ -535,21 +517,20 @@ func (s *optState) runTask(t *optTask) {
 	s.nodes = 0
 	s.limit = r.perTask
 	s.found = false
-	t.status = s.dfs(t.depth)
-	t.nodes = s.nodes
+	status = s.dfs(t.depth)
 	for j := t.depth - 1; j >= 0; j-- {
 		c := t.path[j]
 		s.undoNode(marks[j])
 		s.mod.Free(c.alt, c.cycle, r.order[j])
 	}
+	return status, s.nodes
 }
 
 // optSearch is one Optimal call's driver.
 type optSearch struct {
 	g        *ddg.Graph
 	cfg      OptimalConfig
-	moduleOf ModuleFactory // expansion/serial/fallback modules (arena-cached)
-	factory  ModuleFactory // fresh modules for parallel frontier workers
+	moduleOf ModuleFactory // per-II search and IMS seed modules (arena-cached)
 	sc       *optScratch
 }
 
@@ -622,51 +603,14 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	}
 	r.perTask = per
 
-	bound := &sc.bound
-	bound.Reset(int64(ntasks)) // past-the-end sentinel: no task solved yet
-
-	if workers := parallel.Workers(o.cfg.Workers); o.cfg.Workers > 1 && workers > 1 && ntasks > 1 {
-		parallel.ForEachState(ntasks, workers,
-			func() *optState {
-				w := new(optState)
-				w.attach(r, o.factory(ii))
-				return w
-			},
-			func(w *optState, i int) {
-				if bound.Prunes(int64(i)) {
-					tasks[i].skipped = true
-					return
-				}
-				w.runTask(&tasks[i])
-				if tasks[i].status == searchFound {
-					bound.TryImprove(int64(i), func() { sc.sol.copyFrom(&w.sol) })
-				}
-			})
-	} else {
-		for i := range tasks {
-			if bound.Prunes(int64(i)) {
-				tasks[i].skipped = true
-				continue
-			}
-			st.runTask(&tasks[i])
-			if tasks[i].status == searchFound {
-				bound.TryImprove(int64(i), func() { sc.sol.copyFrom(&st.sol) })
-			}
-		}
-	}
-
-	// Classify. Tasks at or below the lowest solved index can never be
-	// skipped (the bound cannot drop below it until that task itself
-	// solves), so the charged node count is worker-count-invariant.
-	if star := bound.Bound(); star < int64(ntasks) {
-		for i := int64(0); i <= star; i++ {
-			used += tasks[i].nodes
-		}
-		return true, false, used, ntasks
-	}
 	for i := range tasks {
-		used += tasks[i].nodes
-		if tasks[i].status == searchTruncated {
+		status, nodes := st.runTask(&tasks[i])
+		used += nodes
+		switch status {
+		case searchFound:
+			sc.sol.copyFrom(&st.sol)
+			return true, false, used, ntasks
+		case searchTruncated:
 			truncated = true
 		}
 	}
@@ -675,9 +619,8 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 
 // optimalInto is the one exact-scheduling code path: Optimal runs it
 // with a fresh scratch, an Arena with its per-worker one. moduleOf
-// supplies the module for each II attempt (and the IMS fallback);
-// factory builds the fresh modules parallel frontier workers search on.
-func optimalInto(res *OptimalResult, g *ddg.Graph, m *resmodel.Machine, moduleOf, factory ModuleFactory, cfg OptimalConfig, sc *optScratch) {
+// supplies the module for each II attempt (and the IMS fallback).
+func optimalInto(res *OptimalResult, g *ddg.Graph, m *resmodel.Machine, moduleOf ModuleFactory, cfg OptimalConfig, sc *optScratch) {
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = DefaultOptimalNodes
 	}
@@ -706,7 +649,7 @@ func optimalInto(res *OptimalResult, g *ddg.Graph, m *resmodel.Machine, moduleOf
 		hi = sc.ims.II - 1
 	}
 	ss.succs.build(g, false)
-	o := &optSearch{g: g, cfg: cfg, moduleOf: moduleOf, factory: factory, sc: sc}
+	o := &optSearch{g: g, cfg: cfg, moduleOf: moduleOf, sc: sc}
 	for ii := res.MII; ii <= hi; ii++ {
 		res.Attempts++
 		found, truncated, used, ntasks := o.searchII(ii, cfg.MaxNodes-res.Nodes)

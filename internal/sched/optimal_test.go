@@ -146,37 +146,6 @@ func TestOptimalDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestOptimalFrontierWorkersDeterministic pins the frontier-level
-// parallelism: one loop searched with cfg.Workers 1 and 8 yields
-// byte-identical OptimalResults (schedule, node count, task count),
-// including at a budget tight enough to truncate tasks.
-func TestOptimalFrontierWorkersDeterministic(t *testing.T) {
-	m := machines.Cydra5()
-	e := m.Expand()
-	st := loopgen.DefaultStrata(60)
-	loops, err := loopgen.GenerateStrata(m, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory := discreteFactory(e)
-	for _, budget := range []int64{16384, 2048} {
-		cfg := DefaultOptimalConfig()
-		cfg.MaxNodes = budget
-		ref := make([]OptimalResult, len(loops))
-		for i, g := range loops {
-			ref[i] = Optimal(g, m, factory, cfg)
-		}
-		cfg.Workers = 8
-		for i, g := range loops {
-			got := Optimal(g, m, factory, cfg)
-			if !reflect.DeepEqual(got, ref[i]) {
-				t.Fatalf("budget=%d loop %d (%s): Workers=8 differs from Workers=1\ngot: %+v\nref: %+v",
-					budget, i, g.Name, got, ref[i])
-			}
-		}
-	}
-}
-
 // TestOptimalFallbackMatchesIMS drives the budget to its floor: with
 // one node the exact search can decide nothing, so every loop returns
 // the IMS seed byte-identically — proven when the seed achieves MII,

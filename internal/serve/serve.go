@@ -78,8 +78,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline (admission wait plus
 	// execution). 0 selects 30s.
 	RequestTimeout time.Duration
-	// Workers is the reduction pipeline's pool size. 0 selects GOMAXPROCS.
-	Workers int
 	// MaxBodyBytes caps request bodies. 0 selects 8 MiB.
 	MaxBodyBytes int64
 	// MaxBatchOps caps the ops in one batch request. 0 selects 65536.
@@ -117,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.Workers == 0 {
-		c.Workers = parallel.Workers(0)
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -233,7 +228,7 @@ func (s *Server) Register(name string, m *resmodel.Machine, obj core.Objective) 
 		name = m.Name
 	}
 	e := m.Expand()
-	red := s.cache.Reduce(e, obj, s.cfg.Workers)
+	red, _ := s.cache.ReduceTracked(e, obj)
 	if err := red.Verify(); err != nil {
 		return nil, fmt.Errorf("serve: reduction failed verification: %w", err)
 	}
@@ -350,7 +345,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		name = m.Name
 	}
 	e := m.Expand()
-	red, hit := s.cache.ReduceTracked(e, obj, s.cfg.Workers)
+	red, hit := s.cache.ReduceTracked(e, obj)
 	if err := red.Verify(); err != nil {
 		// Unreachable by construction (the reduction theorem); surfaced
 		// rather than swallowed in case of an implementation bug.

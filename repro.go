@@ -148,22 +148,13 @@ func BuiltinMachines() []string { return machines.Names() }
 // objective again returns the already-verified Result without recomputing
 // either the reduction or its verification.
 func Reduce(m *Machine, obj Objective) (*Reduction, error) {
-	return ReduceParallel(m, obj, 1)
-}
-
-// ReduceParallel is Reduce with the reduction pipeline's independent
-// inner work (forbidden-matrix rows, pair-compatibility scans) fanned
-// across a worker pool of the given size; workers < 1 selects GOMAXPROCS
-// and workers == 1 is the serial reference path. The Result is identical
-// at every worker count.
-func ReduceParallel(m *Machine, obj Objective, workers int) (*Reduction, error) {
 	if err := obj.Validate(); err != nil {
 		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	res := core.CachedReduceParallel(m.Expand(), obj, workers)
+	res := core.CachedReduce(m.Expand(), obj)
 	if err := res.Verify(); err != nil {
 		return nil, fmt.Errorf("repro: internal error: %w", err)
 	}
