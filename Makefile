@@ -2,7 +2,8 @@
 #
 #   make             build + test
 #   make check       fmt-check + build + vet + test + race + fuzz-smoke
-#                    + serve-smoke + perfbench-vet (tier-1, everything CI runs)
+#                    + serve-smoke + perfbench-vet + perfbench-test
+#                    (tier-1, everything CI runs)
 #   make fmt-check   fail if any Go file needs gofmt
 #   make verify      alias for check
 #   make fuzz-smoke  run each native fuzz target briefly (10s apiece)
@@ -10,6 +11,7 @@
 #   make metrics     regenerate metrics.json + OPTGAP.md and sanity-check them
 #   make opt-gap          regenerate the OPTGAP.md optimality-gap report
 #   make perfbench-vet    vet the separate perfbench benchmark module
+#   make perfbench-test   run the perfbench benchmark module's tests
 #   make profile          CPU+heap pprof profiles of the IMS corpus benchmark
 #
 # Wall-time performance is measured by perfbench (BENCHMARK.json):
@@ -18,7 +20,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt-check bench perfbench-vet bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
+.PHONY: all build test race vet fmt-check bench perfbench-vet perfbench-test bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
 
 all: build test
 
@@ -85,6 +87,13 @@ opt-gap:
 perfbench-vet:
 	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./...
 
+# The benchmark module's own tests (~20s) run the code it measures
+# through the repo's packages; TestOptPool pins the exact-search
+# open/proven pool, which a change to the branch-and-bound search can
+# move.
+perfbench-test:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) test ./...
+
 # pprof profiles of the scheduler hot path: BenchmarkIMSCorpusRangeScan
 # (internal/sched) schedules 200 corpus loops through IMS on the reduced
 # bitvector, whose range scans are the bit-parallel verdict scan. -o
@@ -115,7 +124,7 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -tags smoke -run '^TestServeSmoke$$' -count=1 ./internal/serve/
 
-check: fmt-check build vet test race fuzz-smoke serve-smoke perfbench-vet
+check: fmt-check build vet test race fuzz-smoke serve-smoke perfbench-vet perfbench-test
 
 verify: check
 

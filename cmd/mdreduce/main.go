@@ -59,7 +59,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mdreduce:", err)
 		os.Exit(1)
 	}
-	obj, err := parseObjective(*objective)
+	obj, err := core.ParseObjective(*objective)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdreduce:", err)
 		os.Exit(1)
@@ -146,8 +146,4 @@ func loadMachine(file, builtin string) (*repro.Machine, error) {
 		return m, nil
 	}
 	return nil, fmt.Errorf("need -file or -machine")
-}
-
-func parseObjective(s string) (core.Objective, error) {
-	return core.ParseObjective(s)
 }

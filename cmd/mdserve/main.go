@@ -14,8 +14,8 @@
 //
 // Reductions go through a capacity-bounded content-keyed LRU (-cache);
 // the machine registry (-max-machines) and the scheduling-session table
-// (-max-sessions, idle expiry -session-ttl) are sharded LRU tables, so
-// no wire workload can grow the process without bound. Requests are
+// (-max-sessions, idle expiry -session-ttl) are LRU tables, so no
+// wire workload can grow the process without bound. Requests are
 // admitted through a concurrency gate (-max-inflight) with a
 // per-request deadline (-deadline); streamed sessions hold a reserved
 // stream sub-quota of the gate. SIGINT/SIGTERM trigger a graceful

@@ -74,7 +74,7 @@ func runOptGap(path string, workers, loopCount int) error {
 	fmt.Fprintf(os.Stderr, "paper: opt-gap: %d loops, budget %d nodes, %d workers\n", len(c.loops), cfg.MaxNodes, workers)
 
 	opt := sched.OptimalBatch(c.loops, c.m, c.factory, cfg, workers)
-	ims := sched.ScheduleBatchArena(c.loops, c.m, c.factory, cfg.IMS, workers)
+	ims := sched.ScheduleBatch(c.loops, c.m, c.factory, cfg.IMS, workers)
 
 	rows := map[string]*optGapRow{}
 	var order []string

@@ -78,7 +78,7 @@ func main() {
 	// Pick the description.
 	desc := m.Expand()
 	if *reduceTo != "" {
-		obj, err := parseObjective(*reduceTo)
+		obj, err := core.ParseObjective(*reduceTo)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -149,10 +149,6 @@ func main() {
 		}
 		fmt.Println("overlap validation: 6 overlapped iterations are contention-free")
 	}
-}
-
-func parseObjective(s string) (core.Objective, error) {
-	return core.ParseObjective(s)
 }
 
 func fail(format string, args ...interface{}) {

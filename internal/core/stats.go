@@ -47,14 +47,3 @@ func AvgWordUsesPerOp(tables []resmodel.Table, k int) float64 {
 	}
 	return float64(total) / float64(len(tables)*k)
 }
-
-// OriginalClassTables extracts the reservation tables of the class
-// representatives from an expanded machine, for like-for-like statistics
-// against a Result's ClassTables.
-func OriginalClassTables(e *resmodel.Expanded, classes [][]int, rep []int) []resmodel.Table {
-	out := make([]resmodel.Table, len(rep))
-	for i, r := range rep {
-		out[i] = e.Ops[r].Table.Clone()
-	}
-	return out
-}

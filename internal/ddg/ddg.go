@@ -101,162 +101,17 @@ func (g *Graph) Succs() [][]Edge {
 
 // RecMII returns the recurrence-constrained minimum initiation interval:
 // the smallest II >= 1 such that no dependence cycle C has
-// delay(C) > II * dist(C). Every cycle lies within one strongly
-// connected component, so the graph is decomposed into SCCs first and
-// the binary search over II (with Floyd–Warshall positive-cycle
-// detection at each probe) runs per component. Loop bodies are mostly
-// acyclic chains with a few small recurrences, so the cubic work runs
-// on component sizes of a handful of nodes rather than the whole body.
+// delay(C) > II * dist(C). It runs MIIScratch.RecMII on a fresh scratch;
+// callers that compute MII per loop keep one MIIScratch instead.
 func (g *Graph) RecMII() int {
-	hasCycleEdge := false
-	for _, e := range g.Edges {
-		if e.Dist > 0 {
-			hasCycleEdge = true
-			break
-		}
-	}
-	if !hasCycleEdge {
-		return 1
-	}
-	mii := 1
-	for _, comp := range g.cycleComponents() {
-		mii = comp.recMII(mii)
-	}
-	return mii
-}
-
-// component is one strongly connected subgraph with edges renumbered to
-// local node indices.
-type component struct {
-	n     int
-	edges []Edge
-}
-
-// cycleComponents returns the strongly connected components of g that
-// can contain a dependence cycle: size >= 2, or a single node with a
-// self-edge. Tarjan's algorithm over all edges (distance 0 edges can
-// participate in a recurrence alongside loop-carried ones).
-func (g *Graph) cycleComponents() []component {
-	n := len(g.Nodes)
-	adj := make([][]int, n)
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	var stack []int
-	next, nComp := 0, 0
-	var strong func(v int)
-	strong = func(v int) {
-		index[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] == unvisited {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = nComp
-				if w == v {
-					break
-				}
-			}
-			nComp++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if index[v] == unvisited {
-			strong(v)
-		}
-	}
-	// Renumber nodes within each component and collect intra-component
-	// edges; components that cannot hold a cycle are dropped.
-	size := make([]int, nComp)
-	local := make([]int, n)
-	for v := 0; v < n; v++ {
-		local[v] = size[comp[v]]
-		size[comp[v]]++
-	}
-	out := make([]component, nComp)
-	keep := make([]bool, nComp)
-	for ci := range out {
-		out[ci].n = size[ci]
-		keep[ci] = size[ci] >= 2
-	}
-	for _, e := range g.Edges {
-		ci := comp[e.From]
-		if ci != comp[e.To] {
-			continue
-		}
-		out[ci].edges = append(out[ci].edges, Edge{
-			From: local[e.From], To: local[e.To], Delay: e.Delay, Dist: e.Dist,
-		})
-		keep[ci] = true // self-edge makes a 1-node component cyclic
-	}
-	kept := out[:0]
-	for ci, c := range out {
-		if keep[ci] {
-			kept = append(kept, c)
-		}
-	}
-	return kept
-}
-
-// recMII returns max(lo, recurrence MII of this component). The caller
-// threads the running maximum through as lo so a component whose cycles
-// are all slacker than an already-found recurrence costs one
-// feasibility probe.
-func (c component) recMII(lo int) int {
-	hi := 1
-	for _, e := range c.edges {
-		if e.Delay > 0 {
-			hi += e.Delay
-		}
-	}
-	if hi <= lo {
-		return lo // every cycle here fits in lo already
-	}
-	// One flat scratch matrix serves every binary-search step: it is
-	// re-seeded per candidate II, so the allocation is paid once per
-	// component instead of once per feasibility test.
-	scratch := make([]int64, c.n*c.n)
-	if feasibleII(c.n, c.edges, lo, scratch) {
-		return lo
-	}
-	lo++
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if feasibleII(c.n, c.edges, mid, scratch) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
+	var s MIIScratch
+	return s.RecMII(g)
 }
 
 // feasibleII reports whether no dependence cycle of g has positive
 // weight under edge weight (Delay - II*Dist); the whole-graph reference
-// for the per-component search in RecMII. dist is an n*n scratch matrix
-// (row-major) that is fully overwritten.
+// for the per-component search in MIIScratch.RecMII. dist is an n*n
+// scratch matrix (row-major) that is fully overwritten.
 func (g *Graph) feasibleII(ii int, dist []int64) bool {
 	return feasibleII(len(g.Nodes), g.Edges, ii, dist)
 }
@@ -316,67 +171,15 @@ type UsageFiller interface {
 	FillUses(op, alt int, us []int)
 }
 
-// ResMII returns the resource-constrained minimum initiation interval: for
-// every resource, the usages the loop body needs per iteration must fit in
-// II cycles of that resource. Following Rau's bin-packing estimate,
-// operations with alternatives are assigned greedily to the alternative
-// that minimizes the maximum resource load (so three loads over two
-// memory ports count 2+1, not 1.5 each).
+// ResMII returns the resource-constrained minimum initiation interval
+// (see MIIScratch.ResMII) on a fresh scratch.
 func (g *Graph) ResMII(uc UsageCounter) int {
-	nr := uc.NumResources()
-	load := make([]int, nr)
-	us := make([]int, nr)
-	best := make([]int, nr)
-	filler, _ := uc.(UsageFiller)
-	altUses := func(op, alt int) {
-		if filler != nil {
-			filler.FillUses(op, alt, us)
-			return
-		}
-		for r := 0; r < nr; r++ {
-			us[r] = uc.Uses(op, alt, r)
-		}
-	}
-	maxAfter := func(us []int) int {
-		m := 0
-		for r, u := range us {
-			if l := load[r] + u; l > m {
-				m = l
-			}
-		}
-		return m
-	}
-	for _, node := range g.Nodes {
-		na := uc.NumAlts(node.Op)
-		bestMax := math.MaxInt32
-		for i := range best {
-			best[i] = 0
-		}
-		for a := 0; a < na; a++ {
-			altUses(node.Op, a)
-			if m := maxAfter(us); m < bestMax {
-				bestMax = m
-				copy(best, us)
-			}
-		}
-		for r, u := range best {
-			load[r] += u
-		}
-	}
-	mii := 1
-	for _, l := range load {
-		if l > mii {
-			mii = l
-		}
-	}
-	return mii
+	var s MIIScratch
+	return s.ResMII(g, uc)
 }
 
-// MII returns max(ResMII, RecMII).
+// MII returns max(ResMII, RecMII) on a fresh scratch.
 func (g *Graph) MII(uc UsageCounter) int {
-	res, rec := g.ResMII(uc), g.RecMII()
-	if res > rec {
-		return res
-	}
-	return rec
+	var s MIIScratch
+	return s.MII(g, uc)
 }

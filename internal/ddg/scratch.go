@@ -1,12 +1,12 @@
 package ddg
 
-// MIIScratch computes ResMII and RecMII through reusable buffers, so a
-// scheduler arena can take the minimum-II computation off the per-loop
-// allocation path. The zero value is ready to use; a scratch must not be
-// shared between goroutines. Results are identical to Graph.ResMII and
-// Graph.RecMII (pinned by the equivalence tests in this package) — only
-// the allocation behaviour differs: after a warmup call on the largest
-// loop shape, further calls allocate nothing.
+// MIIScratch computes ResMII and RecMII through reusable buffers; it is
+// the one implementation of the minimum-II computation, and the Graph
+// methods of the same names run it on a fresh scratch. A scheduler arena
+// keeps one per worker to take MII off the per-loop allocation path: after
+// a warmup call on the largest loop shape, further calls allocate nothing.
+// The zero value is ready to use; a scratch must not be shared between
+// goroutines.
 type MIIScratch struct {
 	// ResMII buffers (per-resource loads).
 	load, us, best []int
@@ -40,7 +40,7 @@ func intbuf(b []int, n int) []int {
 	return b[:n]
 }
 
-// MII returns max(ResMII, RecMII), like Graph.MII.
+// MII returns max(ResMII, RecMII).
 func (s *MIIScratch) MII(g *Graph, uc UsageCounter) int {
 	res, rec := s.ResMII(g, uc), s.RecMII(g)
 	if res > rec {
@@ -49,8 +49,12 @@ func (s *MIIScratch) MII(g *Graph, uc UsageCounter) int {
 	return rec
 }
 
-// ResMII is Graph.ResMII with the per-resource vectors drawn from the
-// scratch instead of allocated per call.
+// ResMII returns the resource-constrained minimum initiation interval: for
+// every resource, the usages the loop body needs per iteration must fit in
+// II cycles of that resource. Following Rau's bin-packing estimate,
+// operations with alternatives are assigned greedily to the alternative
+// that minimizes the maximum resource load (so three loads over two
+// memory ports count 2+1, not 1.5 each).
 func (s *MIIScratch) ResMII(g *Graph, uc UsageCounter) int {
 	nr := uc.NumResources()
 	s.load = intbuf(s.load, nr)
@@ -99,13 +103,18 @@ func (s *MIIScratch) ResMII(g *Graph, uc UsageCounter) int {
 	return mii
 }
 
-// RecMII is Graph.RecMII on reusable buffers: the SCC decomposition runs
-// an iterative Tarjan (explicit DFS stack — no recursion, no closures),
-// intra-component edges are grouped by a stable counting sort, and one
-// grow-only matrix serves every component's feasibility search. The
-// components are processed in the same order, with the same
-// running-maximum threading, as the recursive implementation, so the
-// result — and every feasibility probe — is identical.
+// RecMII returns the recurrence-constrained minimum initiation interval:
+// the smallest II >= 1 such that no dependence cycle C has
+// delay(C) > II * dist(C). Every cycle lies within one strongly connected
+// component, so the graph is decomposed into SCCs first (an iterative
+// Tarjan: explicit DFS stack, no recursion, no closures) and the binary
+// search over II, with Floyd–Warshall positive-cycle detection at each
+// probe, runs per component. Loop bodies are mostly acyclic chains with a
+// few small recurrences, so the cubic work runs on components of a
+// handful of nodes rather than the whole body. Intra-component edges are
+// grouped by a stable counting sort, one grow-only matrix serves every
+// component's search, and the running maximum is threaded through the
+// components so one whose cycles all fit already costs one probe.
 func (s *MIIScratch) RecMII(g *Graph) int {
 	hasCycleEdge := false
 	for _, e := range g.Edges {
@@ -141,8 +150,8 @@ func (s *MIIScratch) RecMII(g *Graph) int {
 
 	nComp := s.sccs(n, adjOff, adjDst)
 
-	// Local renumbering within each component, in node order (matching
-	// Graph.cycleComponents), and intra-component edge counts.
+	// Local renumbering within each component, in node order, and
+	// intra-component edge counts.
 	s.compSize = i32buf(s.compSize, nComp)
 	s.compEdgeCnt = i32buf(s.compEdgeCnt, nComp)
 	s.compOff = i32buf(s.compOff, nComp+1)
@@ -230,8 +239,7 @@ func boolbuf(b []bool, n int) []bool {
 
 // sccs runs Tarjan's algorithm with an explicit DFS stack, filling
 // s.comp[v] with component ids, and returns the component count.
-// Component ids are assigned in the same order as the recursive
-// implementation (completion order of Tarjan roots).
+// Component ids are assigned in completion order of Tarjan roots.
 func (s *MIIScratch) sccs(n int, adjOff, adjDst []int32) int {
 	s.index = i32buf(s.index, n)
 	s.low = i32buf(s.low, n)

@@ -30,26 +30,44 @@ func randomGraph(rng *rand.Rand, n int) *Graph {
 	return g
 }
 
-// TestMIIScratchMatchesGraph pins MIIScratch's ResMII/RecMII to the
-// Graph methods over many random graphs, with the scratch reused across
-// graphs (the arena's usage pattern).
+// TestMIIScratchMatchesGraph checks MIIScratch over many random graphs
+// against two references. A scratch reused across graph shapes (the
+// arena's usage pattern) must give the same ResMII/RecMII/MII as a fresh
+// scratch, so no buffer state leaks between loops. And RecMII must equal
+// the smallest II >= 1 at which the whole-graph feasibility test holds:
+// that oracle runs Floyd–Warshall on the entire graph, with no SCC split.
 func TestMIIScratchMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	uc := fixedUsage{}
-	var s MIIScratch
+	var reused MIIScratch
+	var matrix []int64
 	for i := 0; i < 300; i++ {
 		g := randomGraph(rng, 2+rng.Intn(30))
 		if err := g.Validate(); err != nil {
 			t.Fatalf("graph %d invalid: %v", i, err)
 		}
-		if got, want := s.RecMII(g), g.RecMII(); got != want {
-			t.Fatalf("graph %d: scratch RecMII = %d, Graph.RecMII = %d", i, got, want)
+		var fresh MIIScratch
+		rec := reused.RecMII(g)
+		if want := fresh.RecMII(g); rec != want {
+			t.Fatalf("graph %d: reused RecMII = %d, fresh = %d", i, rec, want)
 		}
-		if got, want := s.ResMII(g, uc), g.ResMII(uc); got != want {
-			t.Fatalf("graph %d: scratch ResMII = %d, Graph.ResMII = %d", i, got, want)
+		if got, want := reused.ResMII(g, uc), fresh.ResMII(g, uc); got != want {
+			t.Fatalf("graph %d: reused ResMII = %d, fresh = %d", i, got, want)
 		}
-		if got, want := s.MII(g, uc), g.MII(uc); got != want {
-			t.Fatalf("graph %d: scratch MII = %d, Graph.MII = %d", i, got, want)
+		if got, want := reused.MII(g, uc), fresh.MII(g, uc); got != want {
+			t.Fatalf("graph %d: reused MII = %d, fresh = %d", i, got, want)
+		}
+
+		n := len(g.Nodes)
+		if cap(matrix) < n*n {
+			matrix = make([]int64, n*n)
+		}
+		oracle := 1
+		for !g.feasibleII(oracle, matrix) {
+			oracle++
+		}
+		if rec != oracle {
+			t.Fatalf("graph %d: RecMII = %d, smallest whole-graph feasible II = %d", i, rec, oracle)
 		}
 	}
 }

@@ -36,18 +36,18 @@ type Bitvector struct {
 	cycMask  uint64 // low nRes bits
 
 	// packed[op][alignment], sorted by word: the table placed a cycles
-	// into its base word, so a probe at cycle t ANDs packed[op][t%k]
-	// word-aligned against the reserved words starting at t/k. Linear
-	// tables grow reserved[w] (covering cycles [w*k, (w+1)*k)) on demand.
+	// into its base word, so a linear probe at cycle t ANDs
+	// packed[op][t%k] word-aligned against the reserved words starting
+	// at t/k. Linear tables grow reserved[w] (covering cycles
+	// [w*k, (w+1)*k)) on demand. Modulo tables hold only alignment 0,
+	// the folded table Check/Assign start from.
 	packed   [][][]packedWord
 	reserved []uint64
 
-	// Modulo: packed0[op] is the alignment-0 packing of the folded table
-	// (what Check/Assign start from); mirror covers cycles [0, 2*II)
-	// (both images kept in sync) so any k-cycle window starting in
-	// [0, II) is read from adjacent words without wraparound.
-	packed0 [][]packedWord
-	mirror  []uint64
+	// Modulo: mirror covers cycles [0, 2*II) (both images kept in sync)
+	// so any k-cycle window starting in [0, II) is read from adjacent
+	// words without wraparound.
+	mirror []uint64
 
 	// occ is the occupancy summary bitmap: bit w is set iff word w of the
 	// backing table (mirror for modulo, reserved for linear) is non-zero.
@@ -111,7 +111,6 @@ func NewBitvector(e *resmodel.Expanded, k, wordBits, ii int) (*Bitvector, error)
 	pt := b.c.packsFor(nRes, k)
 	b.packed = pt.packed
 	if ii > 0 {
-		b.packed0 = pt.packed0
 		b.mirror = make([]uint64, (2*ii+k-1)/k+2)
 		b.occ = make([]uint64, (len(b.mirror)+63)/64)
 		b.rowW = (3*ii+63)/64 + 1
@@ -175,7 +174,7 @@ func (b *Bitvector) Schedulable(op int) bool { return !b.c.selfConf[op] }
 // Check performs.
 func (b *Bitvector) WordsPerOp(op, align int) int {
 	if b.ii > 0 {
-		return len(b.packed0[op])
+		return len(b.packed[op][0])
 	}
 	return len(b.packed[op][align%b.k])
 }
@@ -334,7 +333,7 @@ func (b *Bitvector) Check(op, cycle int) bool {
 func (b *Bitvector) check(op, cycle int) bool {
 	if b.ii > 0 {
 		jm := b.modCycle(cycle)
-		for _, w := range b.packed0[op] {
+		for _, w := range b.packed[op][0] {
 			b.ctr.CheckWork++
 			if b.window(b.wordStart(jm, w))&w.Bits != 0 {
 				return false
@@ -380,7 +379,7 @@ func (b *Bitvector) Assign(op, cycle, id int) {
 func (b *Bitvector) orTable(op, cycle int, work *int64) {
 	if b.ii > 0 {
 		jm := b.modCycle(cycle)
-		for _, w := range b.packed0[op] {
+		for _, w := range b.packed[op][0] {
 			*work++
 			b.orWordMod(w, b.wordStart(jm, w))
 		}
@@ -400,7 +399,7 @@ func (b *Bitvector) orTable(op, cycle int, work *int64) {
 func (b *Bitvector) andNotTable(op, cycle int, work *int64) {
 	if b.ii > 0 {
 		jm := b.modCycle(cycle)
-		for _, w := range b.packed0[op] {
+		for _, w := range b.packed[op][0] {
 			*work++
 			b.andNotWordMod(w, b.wordStart(jm, w))
 		}
@@ -466,7 +465,7 @@ func (b *Bitvector) mustSchedulable(op int) {
 func (b *Bitvector) optimisticAssign(op, cycle int) bool {
 	if b.ii > 0 {
 		jm := b.modCycle(cycle)
-		words := b.packed0[op]
+		words := b.packed[op][0]
 		for i, w := range words {
 			b.ctr.AssignFreeWork++
 			s := b.wordStart(jm, w)

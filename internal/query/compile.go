@@ -35,12 +35,11 @@ type compiled struct {
 // packedTables is the k-cycles-per-word packing of a compiled table:
 // per-op per-alignment words (alignment a places the table a cycles into
 // its base word, so a query at cycle t probes word-aligned against the
-// reserved table with no per-candidate shifting). For modulo tables
-// packed0 aliases the alignment-0 packing — the word every Check/Assign
-// starts from. Read-only after construction.
+// reserved table with no per-candidate shifting). Modulo tables read
+// their words relative to the cycle's modulo slot, so they build only
+// alignment 0. Read-only after construction.
 type packedTables struct {
-	packed0 [][]packedWord   // modulo: packed[op][0]
-	packed  [][][]packedWord // packed[op][alignment]
+	packed [][][]packedWord // packed[op][alignment]
 }
 
 // compiledCacheMax bounds the memoized compilations; schedulers revisit
@@ -96,19 +95,17 @@ func (c *compiled) packsFor(nRes, k int) *packedTables {
 	if pt, ok := c.packs[k]; ok {
 		return pt
 	}
+	aligns := k
+	if c.ii > 0 {
+		aligns = 1
+	}
 	pt := &packedTables{
 		packed: make([][][]packedWord, len(c.uses)),
 	}
 	for oi := range c.uses {
-		pt.packed[oi] = make([][]packedWord, k)
-		for a := 0; a < k; a++ {
+		pt.packed[oi] = make([][]packedWord, aligns)
+		for a := 0; a < aligns; a++ {
 			pt.packed[oi][a] = packUses(c.uses[oi], nRes, k, a)
-		}
-	}
-	if c.ii > 0 {
-		pt.packed0 = make([][]packedWord, len(c.uses))
-		for oi := range c.uses {
-			pt.packed0[oi] = pt.packed[oi][0]
 		}
 	}
 	if c.packs == nil {

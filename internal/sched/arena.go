@@ -19,7 +19,7 @@ import (
 // TestArenaSteadyStateZeroAlloc).
 //
 // An arena must not be shared between goroutines; batch drivers keep
-// one arena per worker (ScheduleBatchArena, ScheduleStream).
+// one arena per worker (ScheduleBatch, ScheduleStream).
 type Arena struct {
 	factory  ModuleFactory
 	moduleOf ModuleFactory // method value over module, bound once
@@ -128,12 +128,16 @@ func (a *Arena) OperationDriven(g *ddg.Graph, e *resmodel.Expanded) (ListResult,
 	return res, err
 }
 
-// ScheduleBatchArena is ScheduleBatch through per-worker arenas: each
-// worker builds its modules once and reuses them across every loop it
-// steals. Results — schedules, statistics, and summed query counters —
-// are identical to ScheduleBatch at any worker count; only the
-// allocation profile differs.
-func ScheduleBatchArena(loops []*ddg.Graph, m *resmodel.Machine, factory ModuleFactory, cfg Config, workers int) []Result {
+// ScheduleBatch modulo-schedules every loop of a benchmark independently
+// across a bounded worker pool of the given size (workers < 1 selects
+// GOMAXPROCS). Each worker owns one arena, builds its modules once
+// through factory and reuses them across every loop it steals, so
+// nothing mutable is shared between workers; the factory may capture
+// shared state only if it is read-only (an *resmodel.Expanded is; a
+// query.Module is not). Results are indexed by loop and equal per-loop
+// Schedule calls at any worker count, so merging statistics in index
+// order reproduces the serial iteration byte for byte.
+func ScheduleBatch(loops []*ddg.Graph, m *resmodel.Machine, factory ModuleFactory, cfg Config, workers int) []Result {
 	out := make([]Result, len(loops))
 	parallel.ForEachState(len(loops), parallel.Workers(workers),
 		func() *Arena { return NewArena(factory) },

@@ -43,10 +43,11 @@ func obsRun(t *testing.T, fn func()) obs.Snapshot {
 	return r.Snapshot().Filter("query", "sched").Exclude("sched.arena")
 }
 
-// TestArenaMatchesFreshCorpus pins the tentpole equivalence: scheduling
-// a corpus through per-worker arenas — at one worker and at eight —
-// produces byte-identical Results and identical query/sched metric
-// totals to fresh per-loop Schedule calls, for both representations.
+// TestArenaMatchesFreshCorpus pins the arena equivalence: ScheduleBatch,
+// which schedules a corpus through per-worker arenas, produces at one
+// worker and at eight byte-identical Results and identical query/sched
+// metric totals to fresh per-loop Schedule calls, for both
+// representations.
 func TestArenaMatchesFreshCorpus(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
@@ -66,12 +67,15 @@ func TestArenaMatchesFreshCorpus(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var fresh []Result
 			freshSnap := obsRun(t, func() {
-				fresh = ScheduleBatch(loops, m, func(int) ModuleFactory { return tc.factory }, cfg, 1)
+				fresh = make([]Result, len(loops))
+				for i, g := range loops {
+					fresh[i] = Schedule(g, m, tc.factory, cfg)
+				}
 			})
 			for _, workers := range []int{1, 8} {
 				var got []Result
 				gotSnap := obsRun(t, func() {
-					got = ScheduleBatchArena(loops, m, tc.factory, cfg, workers)
+					got = ScheduleBatch(loops, m, tc.factory, cfg, workers)
 				})
 				for i := range loops {
 					if !reflect.DeepEqual(got[i], fresh[i]) {

@@ -156,10 +156,10 @@ func TestAutoBackendCorpusDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	ref := ScheduleBatchArena(loops, m, selectFactory(e, "discrete"), cfg, 1)
+	ref := ScheduleBatch(loops, m, selectFactory(e, "discrete"), cfg, 1)
 	for _, workers := range []int{1, 8} {
 		for run := 0; run < 2; run++ {
-			got := ScheduleBatchArena(loops, m, selectFactory(e, "auto"), cfg, workers)
+			got := ScheduleBatch(loops, m, selectFactory(e, "auto"), cfg, workers)
 			for i := range loops {
 				if !reflect.DeepEqual(got[i], ref[i]) {
 					t.Fatalf("workers=%d run=%d loop %d (%s): auto schedule differs from discrete\nauto:     %+v\ndiscrete: %+v",

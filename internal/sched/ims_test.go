@@ -386,10 +386,9 @@ func TestRangeScanMatchesNaiveScan(t *testing.T) {
 		"bitvec":   bitvecFactory(e, k),
 	}
 	for name, f := range factories {
-		factory := func(int) ModuleFactory { return f }
-		naive := ScheduleBatch(loops, m, func(int) ModuleFactory { return naiveFactory(f) }, Config{BudgetRatio: 6}, 1)
+		naive := ScheduleBatch(loops, m, naiveFactory(f), Config{BudgetRatio: 6}, 1)
 		for _, workers := range []int{1, 8} {
-			ranged := ScheduleBatch(loops, m, factory, Config{BudgetRatio: 6}, workers)
+			ranged := ScheduleBatch(loops, m, f, Config{BudgetRatio: 6}, workers)
 			for i, r := range ranged {
 				ref := naive[i]
 				if r.OK != ref.OK || r.II != ref.II || r.Decisions != ref.Decisions ||
@@ -458,7 +457,7 @@ func benchmarkIMSCorpus(b *testing.B, wrap func(ModuleFactory) ModuleFactory) {
 	factory := wrap(bitvecFactory(c.red.Reduced, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range ScheduleBatch(loops, m, func(int) ModuleFactory { return factory }, Config{BudgetRatio: 6}, 1) {
+		for _, r := range ScheduleBatch(loops, m, factory, Config{BudgetRatio: 6}, 1) {
 			if !r.OK {
 				b.Fatal("corpus loop failed to schedule")
 			}

@@ -57,10 +57,11 @@ import (
 // Each II attempt is decomposed into frontier tasks: the search expands
 // to a fixed depth (optSpawnDepth), collects the surviving prefixes as
 // tasks, and runs each task as a deterministic DFS under an equal share
-// of the remaining node budget. Tasks run in index order and the first
-// one that finds a schedule supplies the witness, so the schedule, the
-// node count and the outcome are a pure function of the loop and the
-// budget.
+// of the remaining node budget. One dfs does both passes; the frontier
+// field of its state switches it between collecting and searching.
+// Tasks run in index order and the first one that finds a schedule
+// supplies the witness, so the schedule, the node count and the outcome
+// are a pure function of the loop and the budget.
 const (
 	// DefaultOptimalNodes is the default per-loop search-node budget,
 	// spent across all II attempts. On the paper's 200-loop corpus the
@@ -249,10 +250,13 @@ type optState struct {
 	row    []int64 // addNode scratch: direct weights new -> earlier
 	col    []int64 // addNode scratch: direct weights earlier -> new
 	log    []dUndo
-	nodes  int64
-	limit  int64
-	sol    optSolution
-	found  bool
+	// frontier, when set, collects the prefixes dfs reaches at
+	// optSpawnDepth (the expansion pass of searchII).
+	frontier *[]optTask
+	nodes    int64
+	limit    int64
+	sol      optSolution
+	found    bool
 }
 
 // attach points the state at a run and module, growing buffers as
@@ -394,13 +398,25 @@ func (s *optState) nextFreeCycle(v, t, hi int) (cycle, firstAlt int, ok bool) {
 }
 
 // dfs enumerates placements of position k onward in canonical order.
-// Every call is one counted search node.
+// Every call is one counted search node, except that while frontier is
+// set a call at the frontier depth emits the current prefix as a task
+// instead of searching it. Frontier calls are not counted here — the
+// task's own dfs counts them — so the budget sees every node exactly
+// once whichever pass reaches it.
 func (s *optState) dfs(k int) searchStatus {
+	r := s.run
+	if s.frontier != nil && k == optSpawnDepth && k < r.n {
+		t := optTask{depth: k}
+		for j := 0; j < k; j++ {
+			t.path[j] = optCand{cycle: s.resid[j], alt: s.altSel[j]}
+		}
+		*s.frontier = append(*s.frontier, t)
+		return searchExhausted
+	}
 	s.nodes++
 	if s.nodes > s.limit {
 		return searchTruncated
 	}
-	r := s.run
 	if k == r.n {
 		s.capture()
 		return searchFound
@@ -428,62 +444,6 @@ func (s *optState) dfs(k int) searchStatus {
 			sub := searchExhausted
 			if feasible {
 				sub = s.dfs(k + 1)
-			}
-			s.undoNode(mark)
-			s.mod.Free(a, cyc, vk)
-			if sub != searchExhausted {
-				return sub
-			}
-		}
-		t = cyc + 1
-	}
-	return searchExhausted
-}
-
-// expand is dfs stopping at the frontier depth, emitting each surviving
-// prefix as a task instead of recursing into it. Frontier nodes are not
-// counted here — the task's dfs counts them — so the budget sees every
-// node exactly once whichever path expands it.
-func (s *optState) expand(k int, prefix *[optSpawnDepth]optCand, tasks *[]optTask) searchStatus {
-	r := s.run
-	if k == optSpawnDepth && k < r.n {
-		t := optTask{depth: k}
-		t.path = *prefix
-		*tasks = append(*tasks, t)
-		return searchExhausted
-	}
-	s.nodes++
-	if s.nodes > s.limit {
-		return searchTruncated
-	}
-	if k == r.n {
-		s.capture()
-		return searchFound
-	}
-	vk := r.order[k]
-	alts := r.altsOf(vk)
-	hi := r.ii - 1
-	if k == 0 {
-		hi = 0
-	}
-	for t := 0; t <= hi; {
-		cyc, first, ok := s.nextFreeCycle(vk, t, hi)
-		if !ok {
-			break
-		}
-		for ai := first; ai < len(alts); ai++ {
-			a := alts[ai]
-			if ai > first && !s.mod.Check(a, cyc) {
-				continue
-			}
-			s.mod.Assign(a, cyc, vk)
-			s.resid[k] = cyc
-			s.altSel[k] = a
-			mark, feasible := s.addNode(k, cyc)
-			sub := searchExhausted
-			if feasible {
-				prefix[k] = optCand{cycle: cyc, alt: a}
-				sub = s.expand(k+1, prefix, tasks)
 			}
 			s.undoNode(mark)
 			s.mod.Free(a, cyc, vk)
@@ -582,9 +542,11 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	st.nodes = 0
 	st.limit = budget
 	st.found = false
-	var prefix [optSpawnDepth]optCand
 	sc.tasks = sc.tasks[:0]
-	switch st.expand(0, &prefix, &sc.tasks) {
+	st.frontier = &sc.tasks
+	status := st.dfs(0)
+	st.frontier = nil
+	switch status {
 	case searchFound:
 		sc.sol.copyFrom(&st.sol)
 		return true, false, st.nodes, 0

@@ -51,7 +51,7 @@ func TestOptimalPropertyCorpus(t *testing.T) {
 	factory := reducedBitvecFactory(t, e)
 	cfg := DefaultOptimalConfig()
 	opt := OptimalBatch(loops, m, factory, cfg, 4)
-	ims := ScheduleBatchArena(loops, m, factory, cfg.IMS, 4)
+	ims := ScheduleBatch(loops, m, factory, cfg.IMS, 4)
 
 	proven := 0
 	for i, g := range loops {

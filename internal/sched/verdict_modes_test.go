@@ -54,10 +54,10 @@ func TestVerdictScanModesCorpusIdentical(t *testing.T) {
 		{"naive", naiveFactory(verdictFactory)},
 	}
 
-	ref := ScheduleBatchArena(loops, m, modes[0].factory, cfg, 1)
+	ref := ScheduleBatch(loops, m, modes[0].factory, cfg, 1)
 	for _, mode := range modes {
 		for _, workers := range []int{1, 8} {
-			got := ScheduleBatchArena(loops, m, mode.factory, cfg, workers)
+			got := ScheduleBatch(loops, m, mode.factory, cfg, workers)
 			for i := range loops {
 				if !reflect.DeepEqual(got[i], ref[i]) {
 					t.Fatalf("%s workers=%d loop %d (%s): schedule differs from verdict reference\n%s: %+v\nverdict: %+v",

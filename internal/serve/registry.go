@@ -5,186 +5,115 @@ import (
 	"sync"
 )
 
-// sharded is a capacity-bounded string-keyed LRU table split across N
-// independently locked shards. It backs both of the server's long-lived
-// tables — the machine registry and the scheduling-session table — so
-// neither can grow without limit under unique-key spam (the same bug
-// class the reduction cache's LRU bound removed), and so that the two
-// hottest lock-protected structures in the serving path are not single
-// global mutexes.
-//
-// A key's shard is its FNV-1a hash modulo the shard count, so keys
-// spread by content. The capacity is apportioned across shards
-// (capacity/shards each, remainder to the low shards) and enforced
-// per shard: total residency never exceeds the configured capacity, and
-// within a shard eviction is strictly least-recently-used. Global
-// eviction order across shards is therefore approximate — a heavily
-// skewed key distribution can evict from a busy shard while a quiet one
-// has room — which is the standard sharded-LRU trade, bought for
-// independent locking. The shard count is clamped to the capacity so no
-// shard's quota rounds down to zero.
-type sharded[V any] struct {
-	shards []lruShard[V]
+// lruTable is a capacity-bounded string-keyed LRU table behind one
+// mutex. It backs both of the server's long-lived tables — the machine
+// registry and the scheduling-session table — so neither can grow
+// without limit under unique-key spam (the same bug class the reduction
+// cache's LRU bound removed). Eviction is exact least-recently-used
+// across the whole table; the lock is held for one map lookup and list
+// move per access.
+type lruTable[V any] struct {
+	mu       sync.Mutex
+	capacity int // <= 0: unbounded
+	entries  map[string]*list.Element
+	order    *list.List // front = most recently used; values are *lruEntry[V]
 }
 
-type lruShard[V any] struct {
-	mu      sync.Mutex
-	quota   int // <= 0: unbounded
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used; values are *lruEntry[V]
-}
-
-// lruEntry is one key/value pair of a sharded table (also the snapshot
+// lruEntry is one key/value pair of an lruTable (also the snapshot
 // element type returned by items, removeIf and put's eviction list).
 type lruEntry[V any] struct {
 	key string
 	val V
 }
 
-// newSharded returns a table holding at most capacity entries
-// (capacity <= 0 means unbounded) across at most shards shards.
-func newSharded[V any](capacity, shards int) *sharded[V] {
-	if shards < 1 {
-		shards = 1
-	}
-	if capacity > 0 && shards > capacity {
-		shards = capacity
-	}
-	t := &sharded[V]{shards: make([]lruShard[V], shards)}
-	for i := range t.shards {
-		quota := 0
-		if capacity > 0 {
-			quota = capacity / shards
-			if i < capacity%shards {
-				quota++
-			}
-		}
-		t.shards[i] = lruShard[V]{
-			quota:   quota,
-			entries: map[string]*list.Element{},
-			order:   list.New(),
-		}
-	}
-	return t
-}
-
-// fnv1a is the 64-bit FNV-1a hash of s (inlined rather than hash/fnv to
-// keep shard selection allocation-free).
-func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-func (t *sharded[V]) shard(key string) *lruShard[V] {
-	return &t.shards[fnv1a(key)%uint64(len(t.shards))]
+// newLRUTable returns a table holding at most capacity entries
+// (capacity <= 0 means unbounded).
+func newLRUTable[V any](capacity int) *lruTable[V] {
+	return &lruTable[V]{capacity: capacity, entries: map[string]*list.Element{}, order: list.New()}
 }
 
 // get returns the value under key, marking it most recently used.
-func (t *sharded[V]) get(key string) (V, bool) {
-	sh := t.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el := sh.entries[key]
+func (t *lruTable[V]) get(key string) (V, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el := t.entries[key]
 	if el == nil {
 		var zero V
 		return zero, false
 	}
-	sh.order.MoveToFront(el)
+	t.order.MoveToFront(el)
 	return el.Value.(*lruEntry[V]).val, true
 }
 
 // put inserts (or replaces) key's value at the most-recently-used
-// position and returns the entries evicted to respect the shard's
-// quota. A replacement never evicts.
-func (t *sharded[V]) put(key string, val V) []lruEntry[V] {
-	sh := t.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el := sh.entries[key]; el != nil {
+// position and returns the entries evicted to respect the capacity. A
+// replacement never evicts.
+func (t *lruTable[V]) put(key string, val V) []lruEntry[V] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if el := t.entries[key]; el != nil {
 		el.Value.(*lruEntry[V]).val = val
-		sh.order.MoveToFront(el)
+		t.order.MoveToFront(el)
 		return nil
 	}
-	sh.entries[key] = sh.order.PushFront(&lruEntry[V]{key: key, val: val})
+	t.entries[key] = t.order.PushFront(&lruEntry[V]{key: key, val: val})
 	var evicted []lruEntry[V]
-	for sh.quota > 0 && sh.order.Len() > sh.quota {
-		el := sh.order.Back()
-		ent := sh.order.Remove(el).(*lruEntry[V])
-		delete(sh.entries, ent.key)
+	for t.capacity > 0 && t.order.Len() > t.capacity {
+		ent := t.order.Remove(t.order.Back()).(*lruEntry[V])
+		delete(t.entries, ent.key)
 		evicted = append(evicted, *ent)
 	}
 	return evicted
 }
 
 // remove deletes key, returning its value if it was resident.
-func (t *sharded[V]) remove(key string) (V, bool) {
-	sh := t.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el := sh.entries[key]
+func (t *lruTable[V]) remove(key string) (V, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el := t.entries[key]
 	if el == nil {
 		var zero V
 		return zero, false
 	}
-	ent := sh.order.Remove(el).(*lruEntry[V])
-	delete(sh.entries, key)
+	ent := t.order.Remove(el).(*lruEntry[V])
+	delete(t.entries, key)
 	return ent.val, true
 }
 
-// len returns the total resident entry count across shards.
-func (t *sharded[V]) len() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+// len returns the resident entry count.
+func (t *lruTable[V]) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.entries)
 }
 
-// items snapshots every resident entry (no particular order; callers
-// sort). LRU positions are not disturbed.
-func (t *sharded[V]) items() []lruEntry[V] {
-	var out []lruEntry[V]
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for el := sh.order.Front(); el != nil; el = el.Next() {
-			out = append(out, *el.Value.(*lruEntry[V]))
-		}
-		sh.mu.Unlock()
+// items snapshots every resident entry, most recently used first
+// (callers sort). LRU positions are not disturbed.
+func (t *lruTable[V]) items() []lruEntry[V] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]lruEntry[V], 0, len(t.entries))
+	for el := t.order.Front(); el != nil; el = el.Next() {
+		out = append(out, *el.Value.(*lruEntry[V]))
 	}
 	return out
 }
 
-// removeIf sweeps every shard, removing (and returning) the entries pred
-// selects. Used for TTL expiry of idle sessions; pred must be cheap, it
-// runs under the shard lock.
-func (t *sharded[V]) removeIf(pred func(key string, val V) bool) []lruEntry[V] {
+// removeIf removes (and returns) the entries pred selects. Used for TTL
+// expiry of idle sessions; pred must be cheap, it runs under the lock.
+func (t *lruTable[V]) removeIf(pred func(key string, val V) bool) []lruEntry[V] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out []lruEntry[V]
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		var next *list.Element
-		for el := sh.order.Front(); el != nil; el = next {
-			next = el.Next()
-			ent := el.Value.(*lruEntry[V])
-			if pred(ent.key, ent.val) {
-				sh.order.Remove(el)
-				delete(sh.entries, ent.key)
-				out = append(out, *ent)
-			}
+	var next *list.Element
+	for el := t.order.Front(); el != nil; el = next {
+		next = el.Next()
+		ent := el.Value.(*lruEntry[V])
+		if pred(ent.key, ent.val) {
+			t.order.Remove(el)
+			delete(t.entries, ent.key)
+			out = append(out, *ent)
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }

@@ -30,8 +30,8 @@
 //	GET  /v1/metrics   internal/obs snapshot of the whole process.
 //	GET  /healthz      liveness plus cache/registry/session shape.
 //
-// The machine registry and the session table are sharded LRU tables
-// (see registry.go): both are capacity-bounded, so unique-name reduce
+// The machine registry and the session table are LRU tables (see
+// registry.go): both are capacity-bounded, so unique-name reduce
 // spam or session-open spam evicts oldest entries instead of growing
 // the process without limit. Idle sessions additionally expire after a
 // TTL.
@@ -95,9 +95,6 @@ type Config struct {
 	// lookup and on session create/list sweeps). 0 selects 5m; < 0
 	// disables expiry.
 	SessionTTL time.Duration
-	// Shards is the shard count of the machine registry and session
-	// table. 0 selects 8.
-	Shards int
 	// MaxStreamOps caps the ops accepted on one /stream request.
 	// 0 selects 1<<20.
 	MaxStreamOps int
@@ -143,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.SessionTTL < 0 {
 		c.SessionTTL = 0 // no expiry
 	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
 	if c.MaxStreamOps == 0 {
 		c.MaxStreamOps = 1 << 20
 	}
@@ -169,16 +163,16 @@ type Server struct {
 	cache *core.Cache
 	gate  *parallel.Gate
 
-	// machines is the bounded, sharded registry of registered
+	// machines is the bounded registry of registered
 	// descriptions. Evicting an entry never invalidates modules built
 	// from it — sessions and in-flight batches keep their pointers; the
 	// registry simply forgets the name (exactly the reduction cache's
 	// eviction contract).
-	machines *sharded[*machineEntry]
-	// sessions is the bounded, sharded table of open scheduling
+	machines *lruTable[*machineEntry]
+	// sessions is the bounded table of open scheduling
 	// sessions, LRU-evicted beyond MaxSessions and TTL-expired when
 	// idle.
-	sessions   *sharded[*Session]
+	sessions   *lruTable[*Session]
 	sessionSeq atomic.Uint64
 
 	// now is the session clock, swappable by tests so TTL expiry is
@@ -194,8 +188,8 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		cache:    core.NewCacheLRU(cfg.CacheCapacity),
 		gate:     parallel.NewGate(cfg.MaxInFlight),
-		machines: newSharded[*machineEntry](cfg.MaxMachines, cfg.Shards),
-		sessions: newSharded[*Session](cfg.MaxSessions, cfg.Shards),
+		machines: newLRUTable[*machineEntry](cfg.MaxMachines),
+		sessions: newLRUTable[*Session](cfg.MaxSessions),
 		now:      time.Now,
 	}
 }
@@ -331,7 +325,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("mdl: %v", err))
 		return
 	}
-	obj, err := ParseObjective(req.Objective)
+	obj, err := core.ParseObjective(req.Objective)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
@@ -423,12 +417,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"registry": map[string]any{
 			"resident": s.machines.len(),
 			"capacity": s.cfg.MaxMachines,
-			"shards":   len(s.machines.shards),
 		},
 		"sessions": map[string]any{
 			"resident": s.sessions.len(),
 			"capacity": s.cfg.MaxSessions,
-			"shards":   len(s.sessions.shards),
 			"ttl_ms":   s.cfg.SessionTTL.Milliseconds(),
 		},
 		"cache": map[string]any{
@@ -441,15 +433,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"in_flight": s.gate.InFlight(),
 		"streams":   s.gate.Streams(),
 	})
-}
-
-// ParseObjective parses a reduction-objective string: "" or "res-uses"
-// for the discrete objective, "<k>-cycle-word" for the bitvector one
-// (k bounded by core.MaxObjectiveK so a wire request cannot demand an
-// absurd word geometry). It delegates to core.ParseObjective, the single
-// parser shared with the mdreduce and pipesched command lines.
-func ParseObjective(s string) (core.Objective, error) {
-	return core.ParseObjective(s)
 }
 
 // decodeJSON decodes the request body into v, writing a 4xx error and

@@ -17,7 +17,7 @@ import (
 // module per batch. The paper's premise is that a reduced description
 // answers the scheduler's whole query stream cheaply; a session is that
 // query stream's server-side endpoint. Sessions live in the server's
-// sharded LRU table, bounded by Config.MaxSessions and expired after
+// LRU table, bounded by Config.MaxSessions and expired after
 // Config.SessionTTL idle time.
 //
 // All op execution on a session is serialized through its lock channel

@@ -247,14 +247,14 @@ func TestSessionTTLInjectedClock(t *testing.T) {
 }
 
 // TestSessionTableBounded registers cap+N sessions and asserts residency
-// <= cap with oldest-evicted-first (single shard makes global LRU order
-// exact), plus LRU — not FIFO — replacement after a touch.
+// <= cap with oldest-evicted-first, plus LRU — not FIFO — replacement
+// after a touch.
 func TestSessionTableBounded(t *testing.T) {
 	obs.Default().SetEnabled(true)
 	defer obs.Default().SetEnabled(false)
 	evictions := obs.Default().Counter("serve.sessions.evictions")
 
-	s := New(Config{MaxSessions: 3, Shards: 1})
+	s := New(Config{MaxSessions: 3})
 	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSessionTableBounded(t *testing.T) {
 	id6 := createSession(t, h, SessionRequest{Machine: "ex"}).SessionID
 	wantResident(ids[2], ids[4], id6)
 
-	// Default shard count: order is approximate but the bound holds.
+	// Under spam the table stays exactly full.
 	s2 := New(Config{MaxSessions: 4})
 	if _, err := s2.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
 		t.Fatal(err)
@@ -299,8 +299,8 @@ func TestSessionTableBounded(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		createSession(t, h2, SessionRequest{Machine: "ex"})
 	}
-	if got := s2.sessions.len(); got > 4 {
-		t.Errorf("sharded session table resident %d > capacity 4", got)
+	if got := s2.sessions.len(); got != 4 {
+		t.Errorf("session table resident %d, want capacity 4", got)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestRegistryBounded(t *testing.T) {
 	defer obs.Default().SetEnabled(false)
 	evictions := obs.Default().Counter("serve.registry.evictions")
 
-	s := New(Config{MaxMachines: 3, Shards: 1})
+	s := New(Config{MaxMachines: 3})
 	h := s.Handler()
 	before := evictions.Value()
 	for i := 0; i < 5; i++ {
@@ -364,25 +364,25 @@ func TestRegistryBounded(t *testing.T) {
 		t.Errorf("session on evicted machine: status %d, want 200 (modules outlive registry entries)", rec.Code)
 	}
 
-	// Default shard count: the bound holds under spam.
+	// Under spam the registry stays exactly full.
 	s2 := New(Config{MaxMachines: 4})
 	for i := 0; i < 12; i++ {
 		if _, err := s2.Register(fmt.Sprintf("spam%d", i), machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s2.machines.len(); got > 4 {
-		t.Errorf("sharded registry resident %d > capacity 4", got)
+	if got := s2.machines.len(); got != 4 {
+		t.Errorf("registry resident %d, want capacity 4", got)
 	}
 }
 
 // TestSessionsConcurrentHammer drives session create / ops / stream /
 // list / delete and registry eviction from 8 goroutines; run under
-// -race (make check does) it pins the sharded tables' and sessions'
+// -race (make check does) it pins the LRU tables' and sessions'
 // locking. Status codes may legitimately be 404/410/429 when a
 // neighbour evicts or holds a session; only 5xx is a failure.
 func TestSessionsConcurrentHammer(t *testing.T) {
-	s := New(Config{MaxSessions: 6, MaxMachines: 4, Shards: 2, SessionTTL: time.Minute})
+	s := New(Config{MaxSessions: 6, MaxMachines: 4, SessionTTL: time.Minute})
 	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
 		t.Fatal(err)
 	}

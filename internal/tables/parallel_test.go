@@ -56,9 +56,10 @@ func TestKernelsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestAddCountersSumsEveryField drives addCounters through reflection so
-// a Counters field added without a matching merge line fails the test
-// instead of silently dropping statistics.
+// TestAddCountersSumsEveryField drives Counters.AddFrom, the merge the
+// table harness uses, through reflection so a Counters field added
+// without a matching merge line fails the test instead of silently
+// dropping statistics.
 func TestAddCountersSumsEveryField(t *testing.T) {
 	var src, dst query.Counters
 	sv, dv := reflect.ValueOf(&src).Elem(), reflect.ValueOf(&dst).Elem()
@@ -66,11 +67,11 @@ func TestAddCountersSumsEveryField(t *testing.T) {
 		sv.Field(i).SetInt(int64(i + 1))
 		dv.Field(i).SetInt(int64(10 * (i + 1)))
 	}
-	addCounters(&dst, &src)
+	dst.AddFrom(&src)
 	for i := 0; i < dv.NumField(); i++ {
 		want := int64(i+1) + int64(10*(i+1))
 		if got := dv.Field(i).Int(); got != want {
-			t.Errorf("addCounters drops field %s: got %d, want %d",
+			t.Errorf("AddFrom drops field %s: got %d, want %d",
 				dv.Type().Field(i).Name, got, want)
 		}
 	}
@@ -101,7 +102,7 @@ func TestCountersConcurrentMerge(t *testing.T) {
 
 	total := query.Counters{}
 	for i := range slots {
-		addCounters(&total, &slots[i])
+		total.AddFrom(&slots[i])
 	}
 	var wantChecks, wantWork, wantUnscheduled int64
 	for i := 0; i < n; i++ {

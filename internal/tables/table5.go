@@ -72,17 +72,17 @@ func ComputeTable5(m *resmodel.Machine, loops []*ddg.Graph, budgetRatio int) *Ta
 	return ComputeTable5Workers(m, loops, budgetRatio, 1)
 }
 
-// ComputeTable5Workers is ComputeTable5 with the per-loop Schedule calls
-// fanned across a bounded worker pool (workers < 1 selects GOMAXPROCS).
-// Loops are scheduled independently — every Schedule call builds private
-// query modules over the shared read-only expanded description — and the
-// per-loop results are merged in loop order, so the rendered table is
-// byte-identical at every worker count.
+// ComputeTable5Workers is ComputeTable5 with the loops fanned across a
+// bounded worker pool (workers < 1 selects GOMAXPROCS). Each worker
+// schedules through its own arena of query modules over the shared
+// read-only expanded description, and the per-loop results are merged
+// in loop order, so the rendered table is byte-identical at every
+// worker count.
 func ComputeTable5Workers(m *resmodel.Machine, loops []*ddg.Graph, budgetRatio, workers int) *Table5 {
 	e := m.Expand()
-	results := sched.ScheduleBatch(loops, m, func(int) sched.ModuleFactory {
-		return func(ii int) query.Module { return query.NewDiscrete(e, ii) }
-	}, sched.Config{BudgetRatio: budgetRatio}, workers)
+	results := sched.ScheduleBatch(loops, m,
+		func(ii int) query.Module { return query.NewDiscrete(e, ii) },
+		sched.Config{BudgetRatio: budgetRatio}, workers)
 
 	t := &Table5{BudgetRatio: budgetRatio, Loops: len(loops)}
 	var ops, iis, ratios, decPerOp []float64

@@ -171,7 +171,7 @@ func ComputeTable6Workers(m *resmodel.Machine, loops []*ddg.Graph, reps []Repres
 		reversed, resourceRev := 0, 0
 		var checksPerDec []int
 		for i := range stats {
-			addCounters(&total, &stats[i].ctrs)
+			total.AddFrom(&stats[i].ctrs)
 			reversed += stats[i].reversed
 			resourceRev += stats[i].resourceRev
 			checksPerDec = append(checksPerDec, stats[i].checksPerDec...)
@@ -235,10 +235,6 @@ func perCall(work, calls int64) float64 {
 	}
 	return float64(work) / float64(calls)
 }
-
-// addCounters delegates to Counters.AddFrom so the field list lives in
-// one place (the query package, next to the struct).
-func addCounters(dst, src *query.Counters) { dst.AddFrom(src) }
 
 // Render lays Table 6 out in the paper's format.
 func (t *Table6) Render() string {
