@@ -96,12 +96,13 @@ perfbench-test:
 
 # pprof profiles of the scheduler hot path: BenchmarkIMSCorpusRangeScan
 # (internal/sched) schedules 200 corpus loops through IMS on the reduced
-# bitvector, whose range scans are the bit-parallel verdict scan. -o
-# keeps the test binary out of the tree. Inspect with
+# bitvector, whose range scans are the bit-parallel verdict scan. The
+# profiles and the test binary they symbolize against (sched.test) are
+# written to the root of the checkout. Inspect with
 # `go tool pprof -top cpu.pprof` (or mem.pprof).
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkIMSCorpusRangeScan$$' \
-		-cpuprofile cpu.pprof -memprofile mem.pprof -o /tmp/sched.test ./internal/sched/
+		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/sched/
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof -top cpu.pprof"
 
 # Brief runs of the native fuzz targets. FuzzReducePreservesF fuzzes the

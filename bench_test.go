@@ -408,7 +408,7 @@ func BenchmarkTable5Parallel(b *testing.B) {
 	for _, w := range parallelWorkerCounts() {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tables.ComputeTable5Workers(m, loops, 6, w)
+				tables.ComputeTable5(m, loops, 6, w)
 			}
 		})
 	}
@@ -421,7 +421,7 @@ func BenchmarkTable6Parallel(b *testing.B) {
 	for _, w := range parallelWorkerCounts() {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tables.ComputeTable6Workers(m, loops, reps, w)
+				tables.ComputeTable6(m, loops, reps, w)
 			}
 		})
 	}

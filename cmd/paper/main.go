@@ -109,11 +109,11 @@ func main() {
 			bench = bench[:*loops]
 		}
 		if *all || *table == 5 {
-			fmt.Println(tables.ComputeTable5Workers(m, bench, *budget, workers).Render())
+			fmt.Println(tables.ComputeTable5(m, bench, *budget, workers).Render())
 		}
 		if *all || *table == 6 {
 			reps := tables.PaperRepresentations(m)
-			fmt.Println(tables.ComputeTable6Workers(m, bench, reps, workers).Render())
+			fmt.Println(tables.ComputeTable6(m, bench, reps, workers).Render())
 		}
 	}
 	if *all || *fig == 4 {
@@ -127,7 +127,7 @@ func main() {
 			[]string{"mips", "alpha", "cydra5", "parisc"}, 24)))
 	}
 	if *all || *kernels {
-		rows, err := tables.ComputeKernelsWorkers(machines.Cydra5(), workers)
+		rows, err := tables.ComputeKernels(machines.Cydra5(), workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/query"
 	"repro/internal/resmodel"
 )
@@ -304,29 +305,29 @@ func (g *Graph) Paths(limit int) [][]int {
 	return out
 }
 
-// ReplayPath validates the region schedule along one control path by
-// concatenating the blocks on a single fresh reserved table over the
-// given description (normally the ORIGINAL machine): every operation of
-// every block must be contention-free at its absolute cycle, and every
-// cross-block dependence along the path must be satisfied.
-func ReplayPath(g *Graph, e *resmodel.Expanded, s *Schedule, path []int) error {
-	mod := query.NewDiscrete(e, 0)
+// ReplayPath validates the region schedule along one control path: its
+// blocks, concatenated into one linear schedule, must not contend under f
+// (normally the ORIGINAL machine's forbidden-latency matrix), and every
+// dependence along the path must hold.
+func ReplayPath(g *Graph, f *forbidden.Matrix, s *Schedule, path []int) error {
+	type placed struct{ block, node int }
+	var at []placed
+	var alts, cycles []int
 	start := map[int]int{}
 	abs := 0
-	id := 0
 	for _, bi := range path {
 		start[bi] = abs
-		b := g.Blocks[bi]
-		for v := range b.Body.Nodes {
-			t := abs + s.Time[bi][v]
-			if !mod.Check(s.Alt[bi][v], t) {
-				return fmt.Errorf("cfg: path %v: contention at block %q node %d (abs cycle %d)",
-					path, b.Name, v, t)
-			}
-			mod.Assign(s.Alt[bi][v], t, id)
-			id++
+		for v := range g.Blocks[bi].Body.Nodes {
+			at = append(at, placed{bi, v})
+			alts = append(alts, s.Alt[bi][v])
+			cycles = append(cycles, abs+s.Time[bi][v])
 		}
 		abs += s.Len[bi]
+	}
+	if i, j, _, found := f.Collision(alts, cycles, 0); found {
+		a, b := at[i], at[j]
+		return fmt.Errorf("cfg: path %v: contention between block %q node %d (abs cycle %d) and block %q node %d (abs cycle %d)",
+			path, g.Blocks[a.block].Name, a.node, cycles[i], g.Blocks[b.block].Name, b.node, cycles[j])
 	}
 	for _, x := range g.XEdges {
 		sf, okF := start[x.FromBlock]

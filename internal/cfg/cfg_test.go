@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/machines"
 	"repro/internal/resmodel"
 )
@@ -93,9 +94,10 @@ func TestScheduleRegionDiamond(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("paths = %d, want 2", len(paths))
 	}
+	fRed := forbidden.Compute(red.Reduced)
 	for _, p := range paths {
 		// Replay against the reduced description (what scheduling used)...
-		if err := ReplayPath(g, red.Reduced, s, p); err != nil {
+		if err := ReplayPath(g, fRed, s, p); err != nil {
 			t.Fatalf("reduced replay: %v", err)
 		}
 	}
@@ -144,8 +146,16 @@ func TestScheduleRegionTrace(t *testing.T) {
 	if s.Time[1][0] < 10 {
 		t.Errorf("second divide at block cycle %d, want pushed past the dangling divider", s.Time[1][0])
 	}
-	if err := ReplayPath(g, e, s, []int{0, 1}); err != nil {
+	f := forbidden.Compute(e)
+	if err := ReplayPath(g, f, s, []int{0, 1}); err != nil {
 		t.Fatal(err)
+	}
+	// Pulling the second divide back to its block's entry puts it in the
+	// divider while the first is still there; the replay must see it.
+	bad := *s
+	bad.Time = [][]int{s.Time[0], {0}}
+	if ReplayPath(g, f, &bad, []int{0, 1}) == nil {
+		t.Error("contention with the dangling divide not caught")
 	}
 }
 
@@ -159,6 +169,7 @@ func TestQuickRegionsReplayOnOriginal(t *testing.T) {
 	if err := red.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	fOrig := forbidden.Compute(e)
 	opNames := []string{"ialu", "load", "store", "mult", "div", "fadd.s", "fmul.d", "fdiv.s", "fdiv.d", "fcvt"}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -191,7 +202,7 @@ func TestQuickRegionsReplayOnOriginal(t *testing.T) {
 		}
 		for _, p := range g.Paths(8) {
 			// The strong claim: replay on the ORIGINAL description.
-			if ReplayPath(g, e, s, p) != nil {
+			if ReplayPath(g, fOrig, s, p) != nil {
 				return false
 			}
 		}

@@ -80,6 +80,35 @@ func (m *Matrix) Forbidden(x, y, f int) bool {
 	return m.sets[x][y].Contains(f)
 }
 
+// Collision reports the first pair i <= j of placements that contend, and
+// the forbidden latency lat, where placement k issues operation alts[k] at
+// cycle cycles[k]. With ii == 0 the schedule is linear: i < j contend iff
+// cycles[j] - cycles[i] lies in F[alts[j]][alts[i]]. With ii > 0 it is
+// modulo ii: i and j contend iff some latency congruent to their distance
+// modulo ii lies there, so i contends with its own later iterations iff
+// F[alts[i]][alts[i]] holds a nonzero multiple of ii.
+func (m *Matrix) Collision(alts, cycles []int, ii int) (i, j, lat int, found bool) {
+	span := m.Span
+	for i = range alts {
+		for j = i; j < len(alts); j++ {
+			d := cycles[j] - cycles[i]
+			if ii == 0 {
+				if j > i && m.Forbidden(alts[j], alts[i], d) {
+					return i, j, d, true
+				}
+				continue
+			}
+			// Smallest d > -span congruent to cycles[j] - cycles[i] modulo ii.
+			for d = ((d+span-1)%ii+ii)%ii - (span - 1); d < span; d += ii {
+				if (i != j || d != 0) && m.Forbidden(alts[j], alts[i], d) {
+					return i, j, d, true
+				}
+			}
+		}
+	}
+	return 0, 0, 0, false
+}
+
 // NonnegCount returns the total number of non-negative forbidden latencies
 // over all ordered operation pairs — the count the paper reports in its
 // table captions ("10223 forbidden latencies").

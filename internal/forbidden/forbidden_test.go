@@ -233,6 +233,76 @@ func TestQuickMatrixVsBruteForce(t *testing.T) {
 	}
 }
 
+// bruteCollide places every usage of every placement in an explicit
+// reservation table (columns folded modulo ii when ii > 0) and reports
+// whether any cell is claimed twice.
+func bruteCollide(e *resmodel.Expanded, alts, cycles []int, ii int) bool {
+	taken := map[[2]int]bool{}
+	for k, op := range alts {
+		for _, u := range e.Ops[op].Table.Uses {
+			c := cycles[k] + u.Cycle
+			if ii > 0 {
+				c = (c%ii + ii) % ii
+			}
+			cell := [2]int{u.Resource, c}
+			if taken[cell] {
+				return true
+			}
+			taken[cell] = true
+		}
+	}
+	return false
+}
+
+// Property: Collision agrees with an explicit reservation table on random
+// machines and placements, linear and modulo, and the pair it reports is
+// forbidden at a latency congruent to the pair's distance.
+func TestQuickCollisionVsBruteForce(t *testing.T) {
+	var outcomes [2][2]int // [linear, modulo][clear, collide]
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := resmodel.Random(rng, resmodel.DefaultRandomConfig()).Expand()
+		m := Compute(e)
+		n := 1 + rng.Intn(4)
+		alts, cycles := make([]int, n), make([]int, n)
+		for k := range alts {
+			alts[k] = rng.Intn(len(e.Ops))
+			cycles[k] = rng.Intn(3 * m.Span)
+		}
+		for _, ii := range []int{0, 1 + rng.Intn(m.Span+1)} {
+			i, j, lat, found := m.Collision(alts, cycles, ii)
+			if found != bruteCollide(e, alts, cycles, ii) {
+				return false
+			}
+			form := min(ii, 1)
+			if !found {
+				outcomes[form][0]++
+				continue
+			}
+			outcomes[form][1]++
+			d := cycles[j] - cycles[i]
+			if i > j || !m.Forbidden(alts[j], alts[i], lat) {
+				return false
+			}
+			if ii == 0 && (i == j || lat != d) {
+				return false
+			}
+			if ii > 0 && ((lat-d)%ii != 0 || i == j && lat == 0) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	for form, o := range outcomes {
+		if o[0] == 0 || o[1] == 0 {
+			t.Errorf("form %d saw clear/collide %v, want both", form, o)
+		}
+	}
+}
+
 // Property: operations within one class are interchangeable — every
 // forbidden-latency set against every third op is identical.
 func TestQuickClassInterchangeability(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/query"
 	"repro/internal/resmodel"
 )
@@ -100,8 +101,8 @@ func schedFuzzDecode(data []byte) (*resmodel.Machine, *ddg.Graph) {
 
 // FuzzOptimalNeverInvalid fuzzes the exact scheduler's safety
 // contract over random tiny machines and dependence graphs: it never
-// panics, any schedule it returns revalidates on a fresh naive query
-// module (VerifySchedule) with II >= MII, its outcome flags are
+// panics, any schedule it returns passes the F certifier (Certify)
+// with II >= MII, its outcome flags are
 // consistent (exactly one of Proven/Fallback), the range-scan and
 // naive-scan runs are byte-identical, and a proven II never exceeds
 // what the IMS heuristic achieves.
@@ -131,7 +132,7 @@ func FuzzOptimalNeverInvalid(f *testing.F) {
 			if r.II < r.MII {
 				t.Fatalf("II %d below MII %d: %+v", r.II, r.MII, r)
 			}
-			if err := VerifySchedule(g, e, r.Result); err != nil {
+			if err := Certify(g, e, forbidden.Compute(e), r.Result); err != nil {
 				t.Fatalf("schedule fails revalidation: %v\nresult %+v\nmachine %+v\ngraph %+v", err, r, m, g)
 			}
 		}

@@ -17,9 +17,9 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/query"
 	"repro/internal/resmodel"
 )
@@ -493,14 +493,30 @@ func heightsInto(h []int, ii int, succs *edgeCSR) {
 	}
 }
 
-// VerifySchedule checks a successful Result against the loop and the
-// ORIGINAL machine description: every dependence is satisfied modulo II
-// and the chosen alternatives are contention-free on a fresh Modulo
-// Reservation Table. Used by tests to cross-validate schedules produced
-// through reduced descriptions.
-func VerifySchedule(g *ddg.Graph, e *resmodel.Expanded, r Result) error {
-	if !r.OK {
+// Certify checks a successful Result against the loop and f, the
+// forbidden-latency matrix of the ORIGINAL machine description e: every
+// node sits at a non-negative cycle as an alternative of its own
+// operation, every dependence holds modulo II, and f.Collision finds no
+// contention at II. It builds no query module, so it audits schedules
+// from any module over any description whose matrix equals f.
+func Certify(g *ddg.Graph, e *resmodel.Expanded, f *forbidden.Matrix, r Result) error {
+	n := len(g.Nodes)
+	switch {
+	case !r.OK:
 		return fmt.Errorf("sched: schedule not OK")
+	case r.II < 1:
+		return fmt.Errorf("sched: II %d", r.II)
+	case len(r.Time) != n || len(r.Alt) != n:
+		return fmt.Errorf("sched: %d times and %d alternatives for %d nodes", len(r.Time), len(r.Alt), n)
+	}
+	for v, node := range g.Nodes {
+		if a := r.Alt[v]; a < 0 || a >= len(e.Ops) || e.Ops[a].Orig != node.Op {
+			return fmt.Errorf("sched: node %d placed as expanded op %d which is not an alternative of op %d",
+				v, a, node.Op)
+		}
+		if r.Time[v] < 0 {
+			return fmt.Errorf("sched: node %d at cycle %d", v, r.Time[v])
+		}
 	}
 	for _, edge := range g.Edges {
 		if r.Time[edge.To] < r.Time[edge.From]+edge.Delay-r.II*edge.Dist {
@@ -509,23 +525,9 @@ func VerifySchedule(g *ddg.Graph, e *resmodel.Expanded, r Result) error {
 				edge.Delay, edge.Dist, r.II)
 		}
 	}
-	mod := query.NewDiscrete(e, r.II)
-	order := make([]int, len(g.Nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return r.Time[order[i]] < r.Time[order[j]] })
-	for _, v := range order {
-		altOp := r.Alt[v]
-		if g.Nodes[v].Op != e.Ops[altOp].Orig {
-			return fmt.Errorf("sched: node %d placed as expanded op %d which is not an alternative of op %d",
-				v, altOp, g.Nodes[v].Op)
-		}
-		if !mod.Check(altOp, r.Time[v]) {
-			return fmt.Errorf("sched: resource contention for node %d (%s) at cycle %d",
-				v, g.Nodes[v].Name, r.Time[v])
-		}
-		mod.Assign(altOp, r.Time[v], v)
+	if i, j, lat, found := f.Collision(r.Alt, r.Time, r.II); found {
+		return fmt.Errorf("sched: resource contention between node %d (%s, cycle %d) and node %d (%s, cycle %d) at latency %d mod II %d",
+			i, g.Nodes[i].Name, r.Time[i], j, g.Nodes[j].Name, r.Time[j], lat, r.II)
 	}
 	return nil
 }

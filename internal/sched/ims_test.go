@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/loopgen"
 	"repro/internal/machines"
 	"repro/internal/query"
@@ -61,6 +62,7 @@ edge test br delay 1
 func TestScheduleDotProduct(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
+	f := forbidden.Compute(e)
 	g := dotProduct(t, m)
 	r := Schedule(g, m, discreteFactory(e), DefaultConfig())
 	if !r.OK {
@@ -72,8 +74,8 @@ func TestScheduleDotProduct(t *testing.T) {
 	if r.II < r.MII {
 		t.Fatalf("II %d < MII %d", r.II, r.MII)
 	}
-	if err := VerifySchedule(g, e, r); err != nil {
-		t.Fatalf("VerifySchedule: %v", err)
+	if err := Certify(g, e, f, r); err != nil {
+		t.Fatalf("Certify: %v", err)
 	}
 	// The two loads must land on different ports or different cycles; the
 	// verifier above already guarantees it, but check the alt mechanism
@@ -91,6 +93,7 @@ func TestScheduleDotProduct(t *testing.T) {
 func TestSameScheduleAcrossDescriptions(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
+	f := forbidden.Compute(e)
 	redRU := core.Reduce(e, core.Objective{Kind: core.ResUses})
 	redKW := core.Reduce(e, core.Objective{Kind: core.KCycleWord, K: 4})
 	if err := redRU.Verify(); err != nil {
@@ -118,12 +121,12 @@ func TestSameScheduleAcrossDescriptions(t *testing.T) {
 	for _, g := range loops {
 		var ref Result
 		first := true
-		for name, f := range factories {
-			r := Schedule(g, m, f, DefaultConfig())
+		for name, fac := range factories {
+			r := Schedule(g, m, fac, DefaultConfig())
 			if !r.OK {
 				t.Fatalf("%s: %s failed to schedule", g.Name, name)
 			}
-			if err := VerifySchedule(g, e, r); err != nil {
+			if err := Certify(g, e, f, r); err != nil {
 				t.Fatalf("%s: %s produced invalid schedule: %v", g.Name, name, err)
 			}
 			if first {
@@ -150,6 +153,7 @@ func TestSameScheduleAcrossDescriptions(t *testing.T) {
 func TestBudgetForcesHigherII(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
+	f := forbidden.Compute(e)
 	cfg := loopgen.Default()
 	cfg.Loops = 25
 	loops, err := loopgen.Generate(m, cfg)
@@ -165,7 +169,7 @@ func TestBudgetForcesHigherII(t *testing.T) {
 		if loose.II < tight.II {
 			t.Errorf("%s: budget 1N found better II (%d) than 6N (%d)", g.Name, loose.II, tight.II)
 		}
-		if err := VerifySchedule(g, e, loose); err != nil {
+		if err := Certify(g, e, f, loose); err != nil {
 			t.Errorf("%s: loose schedule invalid: %v", g.Name, err)
 		}
 	}
@@ -224,11 +228,12 @@ func TestHeights(t *testing.T) {
 	}
 }
 
-// TestVerifyScheduleCatchesViolations: the verifier rejects corrupted
+// TestVerifyScheduleCatchesViolations: Certify rejects corrupted
 // schedules.
 func TestVerifyScheduleCatchesViolations(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
+	f := forbidden.Compute(e)
 	g := dotProduct(t, m)
 	r := Schedule(g, m, discreteFactory(e), DefaultConfig())
 	if !r.OK {
@@ -238,7 +243,7 @@ func TestVerifyScheduleCatchesViolations(t *testing.T) {
 	bad := r
 	bad.Time = append([]int(nil), r.Time...)
 	bad.Time[3] = bad.Time[1] // mul at load's cycle
-	if err := VerifySchedule(g, e, bad); err == nil {
+	if err := Certify(g, e, f, bad); err == nil {
 		t.Errorf("dependence violation not caught")
 	}
 	// Resource violation: force both loads onto the same port and cycle.
@@ -247,14 +252,14 @@ func TestVerifyScheduleCatchesViolations(t *testing.T) {
 	bad2.Alt = append([]int(nil), r.Alt...)
 	bad2.Time[2] = bad2.Time[1]
 	bad2.Alt[2] = bad2.Alt[1]
-	if err := VerifySchedule(g, e, bad2); err == nil {
+	if err := Certify(g, e, f, bad2); err == nil {
 		t.Errorf("resource violation not caught")
 	}
 	// Wrong alternative: claim a node was placed as an unrelated op.
 	bad3 := r
 	bad3.Alt = append([]int(nil), r.Alt...)
 	bad3.Alt[0] = e.OpIndex("fmul.s")
-	if err := VerifySchedule(g, e, bad3); err == nil {
+	if err := Certify(g, e, f, bad3); err == nil {
 		t.Errorf("wrong alternative not caught")
 	}
 }
@@ -264,7 +269,8 @@ func TestVerifyScheduleCatchesViolations(t *testing.T) {
 func TestQuickScheduleRandomLoops(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
-	f := func(seed int64) bool {
+	f := forbidden.Compute(e)
+	prop := func(seed int64) bool {
 		cfg := loopgen.Default()
 		cfg.Seed = seed
 		cfg.Loops = 3
@@ -277,13 +283,13 @@ func TestQuickScheduleRandomLoops(t *testing.T) {
 			if !r.OK || r.II < r.MII {
 				return false
 			}
-			if VerifySchedule(g, e, r) != nil {
+			if Certify(g, e, f, r) != nil {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

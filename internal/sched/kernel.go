@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/resmodel"
 )
 
@@ -114,44 +115,25 @@ type FlatOp struct {
 	Cycle     int
 }
 
-// ValidateOverlap replays the flattened execution of `iters` iterations
-// on a fresh linear reserved table over the given description and checks
-// that no two instances contend — the end-to-end proof that the modulo
-// schedule's steady state is resource-correct across iterations, not just
-// within the MRT abstraction.
-func ValidateOverlap(g *ddg.Graph, e *resmodel.Expanded, r Result, iters int, newLinear func() interface {
-	Check(op, cycle int) bool
-	Assign(op, cycle, id int)
-}) error {
-	if !r.OK {
-		return fmt.Errorf("sched: schedule not OK")
-	}
-	k, err := BuildKernel(g, r)
-	if err != nil {
+// ValidateOverlap certifies r against f (Certify, whose modulo dependence
+// check covers every pair of iterations), then checks the flattened
+// execution of `iters` overlapped iterations as one linear schedule — the
+// end-to-end proof that the kernel's steady state is resource-correct
+// beyond the MRT abstraction.
+func ValidateOverlap(g *ddg.Graph, e *resmodel.Expanded, f *forbidden.Matrix, r Result, iters int) error {
+	if err := Certify(g, e, f, r); err != nil {
 		return err
 	}
-	mod := newLinear()
-	for idx, f := range k.Expand(g, r, iters) {
-		if !mod.Check(f.Alt, f.Cycle) {
-			return fmt.Errorf("sched: overlap violation: iteration %d node %d (%s) at absolute cycle %d",
-				f.Iteration, f.Node, g.Nodes[f.Node].Name, f.Cycle)
-		}
-		mod.Assign(f.Alt, f.Cycle, idx)
+	k, _ := BuildKernel(g, r) // fails only on !r.OK, which Certify rejected
+	flat := k.Expand(g, r, iters)
+	alts, cycles := make([]int, len(flat)), make([]int, len(flat))
+	for x, op := range flat {
+		alts[x], cycles[x] = op.Alt, op.Cycle
 	}
-	// Dependences across iterations.
-	for i := 0; i < iters; i++ {
-		for _, edge := range g.Edges {
-			j := i + edge.Dist
-			if j >= iters {
-				continue
-			}
-			tFrom := i*r.II + r.Time[edge.From]
-			tTo := j*r.II + r.Time[edge.To]
-			if tTo < tFrom+edge.Delay {
-				return fmt.Errorf("sched: cross-iteration dependence violated: %d->%d (dist %d) at iterations %d->%d",
-					edge.From, edge.To, edge.Dist, i, j)
-			}
-		}
+	if i, j, _, found := f.Collision(alts, cycles, 0); found {
+		a, b := flat[i], flat[j]
+		return fmt.Errorf("sched: overlap violation: iteration %d node %d (%s) and iteration %d node %d (%s) contend at absolute cycles %d and %d",
+			a.Iteration, a.Node, g.Nodes[a.Node].Name, b.Iteration, b.Node, g.Nodes[b.Node].Name, a.Cycle, b.Cycle)
 	}
 	return nil
 }

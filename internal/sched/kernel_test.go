@@ -7,23 +7,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/loopgen"
 	"repro/internal/machines"
-	"repro/internal/query"
-	"repro/internal/resmodel"
 )
-
-func linearFactory(e *resmodel.Expanded) func() interface {
-	Check(op, cycle int) bool
-	Assign(op, cycle, id int)
-} {
-	return func() interface {
-		Check(op, cycle int) bool
-		Assign(op, cycle, id int)
-	} {
-		return query.NewDiscrete(e, 0)
-	}
-}
 
 func TestKernelDotProduct(t *testing.T) {
 	m := machines.Cydra5()
@@ -68,8 +55,17 @@ func TestKernelDotProduct(t *testing.T) {
 	}
 	// Steady-state overlap is resource- and dependence-correct for many
 	// iterations.
-	if err := ValidateOverlap(g, e, r, 8, linearFactory(e)); err != nil {
+	f := forbidden.Compute(e)
+	if err := ValidateOverlap(g, e, f, r, 8); err != nil {
 		t.Fatalf("ValidateOverlap: %v", err)
+	}
+	// Both loads on one port in one cycle contend in every iteration.
+	bad := r
+	bad.Time = append([]int(nil), r.Time...)
+	bad.Alt = append([]int(nil), r.Alt...)
+	bad.Time[2], bad.Alt[2] = bad.Time[1], bad.Alt[1]
+	if ValidateOverlap(g, e, f, bad, 8) == nil {
+		t.Error("overlap contention not caught")
 	}
 }
 
@@ -86,7 +82,8 @@ func TestBuildKernelFailedSchedule(t *testing.T) {
 func TestQuickOverlapValid(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
-	f := func(seed int64) bool {
+	f := forbidden.Compute(e)
+	prop := func(seed int64) bool {
 		cfg := loopgen.Default()
 		cfg.Seed = seed
 		cfg.Loops = 2
@@ -99,13 +96,13 @@ func TestQuickOverlapValid(t *testing.T) {
 			if !r.OK {
 				return false
 			}
-			if ValidateOverlap(g, e, r, 5, linearFactory(e)) != nil {
+			if ValidateOverlap(g, e, f, r, 5) != nil {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }
@@ -116,6 +113,7 @@ func TestQuickOverlapValid(t *testing.T) {
 func TestNamedKernelsSchedule(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
+	f := forbidden.Compute(e)
 	red := core.Reduce(e, core.Objective{Kind: core.ResUses})
 	if err := red.Verify(); err != nil {
 		t.Fatal(err)
@@ -139,10 +137,10 @@ func TestNamedKernelsSchedule(t *testing.T) {
 				t.Fatalf("%s: schedules differ at node %d", k.Name, v)
 			}
 		}
-		if err := VerifySchedule(g, e, r1); err != nil {
+		if err := Certify(g, e, f, r1); err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		if err := ValidateOverlap(g, e, r1, 6, linearFactory(e)); err != nil {
+		if err := ValidateOverlap(g, e, f, r1, 6); err != nil {
 			t.Fatalf("%s: overlap: %v", k.Name, err)
 		}
 		if r1.II != r1.MII {

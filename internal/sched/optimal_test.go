@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/loopgen"
 	"repro/internal/machines"
 	"repro/internal/query"
@@ -23,8 +24,8 @@ func TestOptimalDotProduct(t *testing.T) {
 	if r.II < r.MII {
 		t.Fatalf("II %d < MII %d", r.II, r.MII)
 	}
-	if err := VerifySchedule(g, e, r.Result); err != nil {
-		t.Fatalf("VerifySchedule: %v", err)
+	if err := Certify(g, e, forbidden.Compute(e), r.Result); err != nil {
+		t.Fatalf("Certify: %v", err)
 	}
 	ims := Schedule(g, m, discreteFactory(e), DefaultConfig())
 	if ims.OK && r.II > ims.II {
@@ -35,14 +36,15 @@ func TestOptimalDotProduct(t *testing.T) {
 // TestOptimalPropertyCorpus is the satellite property test over the
 // 200-loop stratified corpus: wherever the exact search completes
 // within budget, MII <= II_opt <= II_ims, and every schedule — produced
-// here over the reduced bitvector representation — revalidates on the
-// naive (non-range, per-cycle Check) query path over the ORIGINAL
-// machine description, the independent oracle VerifySchedule drives.
+// here over the reduced bitvector representation — passes Certify
+// against the forbidden-latency matrix of the ORIGINAL machine
+// description, which shares no code with the query modules.
 // It also pins the acceptance bar: at the default budget, at least 90%
 // of the corpus is solved to proven optimality.
 func TestOptimalPropertyCorpus(t *testing.T) {
 	m := machines.Cydra5()
 	e := m.Expand()
+	f := forbidden.Compute(e)
 	st := loopgen.DefaultStrata(200)
 	loops, err := loopgen.GenerateStrata(m, st)
 	if err != nil {
@@ -75,8 +77,8 @@ func TestOptimalPropertyCorpus(t *testing.T) {
 			}
 		}
 		if r.OK {
-			if err := VerifySchedule(g, e, r.Result); err != nil {
-				t.Errorf("%s: schedule fails the naive oracle: %v", g.Name, err)
+			if err := Certify(g, e, f, r.Result); err != nil {
+				t.Errorf("%s: schedule fails certification: %v", g.Name, err)
 			}
 		}
 	}
@@ -247,6 +249,7 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, m := range []*resmodel.Machine{machines.Cydra5Subset(), machines.MIPS()} {
 		e := m.Expand()
+		f := forbidden.Compute(e)
 		factory := discreteFactory(e)
 		cases := 0
 		for cases < 25 {
@@ -288,8 +291,8 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 					cases, r.II, r.MII, hi, g.Nodes, g.Edges)
 			}
 			if r.OK {
-				if err := VerifySchedule(g, e, r.Result); err != nil {
-					t.Errorf("case %d: VerifySchedule: %v", cases, err)
+				if err := Certify(g, e, f, r.Result); err != nil {
+					t.Errorf("case %d: Certify: %v", cases, err)
 				}
 			}
 		}

@@ -25,16 +25,11 @@ type KernelRow struct {
 
 // ComputeKernels software-pipelines the named Livermore/BLAS-style
 // kernels on the machine (through the original description; reduced
-// descriptions produce identical schedules).
-func ComputeKernels(m *resmodel.Machine) ([]KernelRow, error) {
-	return ComputeKernelsWorkers(m, 1)
-}
-
-// ComputeKernelsWorkers is ComputeKernels with the per-kernel Schedule
-// calls fanned across a bounded worker pool (workers < 1 selects
+// descriptions produce identical schedules). The per-kernel Schedule
+// calls are fanned across a bounded worker pool (workers < 1 selects
 // GOMAXPROCS). Rows come back in kernel order regardless of worker
 // count; the first error in kernel order is reported.
-func ComputeKernelsWorkers(m *resmodel.Machine, workers int) ([]KernelRow, error) {
+func ComputeKernels(m *resmodel.Machine, workers int) ([]KernelRow, error) {
 	e := m.Expand()
 	ks, err := loopgen.ParseKernels(m)
 	if err != nil {

@@ -52,9 +52,9 @@ func TestInstrumentedRunsStayDeterministic(t *testing.T) {
 			reps = reps[:3]
 		}
 		var b bytes.Buffer
-		b.WriteString(ComputeTable5Workers(m, loops, 6, workers).Render())
-		b.WriteString(ComputeTable6Workers(m, loops, reps, workers).Render())
-		rows, err := ComputeKernelsWorkers(m, workers)
+		b.WriteString(ComputeTable5(m, loops, 6, workers).Render())
+		b.WriteString(ComputeTable6(m, loops, reps, workers).Render())
+		rows, err := ComputeKernels(m, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,21 +21,18 @@ func TestTables56ParallelDeterminism(t *testing.T) {
 		loops = loops[:80]
 	}
 
-	t5serial := ComputeTable5Workers(m, loops, 6, 1).Render()
-	t5par := ComputeTable5Workers(m, loops, 6, 8).Render()
+	t5serial := ComputeTable5(m, loops, 6, 1).Render()
+	t5par := ComputeTable5(m, loops, 6, 8).Render()
 	if t5serial != t5par {
 		t.Errorf("Table 5 differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", t5serial, t5par)
-	}
-	if got := ComputeTable5(m, loops, 6).Render(); got != t5serial {
-		t.Errorf("ComputeTable5 does not match its Workers(1) form")
 	}
 
 	reps := PaperRepresentations(m)
 	if len(reps) > 3 {
 		reps = reps[:3] // original + res-uses + first bitvector keeps -race fast
 	}
-	t6serial := ComputeTable6Workers(m, loops, reps, 1).Render()
-	t6par := ComputeTable6Workers(m, loops, reps, 8).Render()
+	t6serial := ComputeTable6(m, loops, reps, 1).Render()
+	t6par := ComputeTable6(m, loops, reps, 8).Render()
 	if t6serial != t6par {
 		t.Errorf("Table 6 differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", t6serial, t6par)
 	}
@@ -43,11 +40,11 @@ func TestTables56ParallelDeterminism(t *testing.T) {
 
 func TestKernelsParallelDeterminism(t *testing.T) {
 	m := machines.Cydra5()
-	serial, err := ComputeKernelsWorkers(m, 1)
+	serial, err := ComputeKernels(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ComputeKernelsWorkers(m, 8)
+	par, err := ComputeKernels(m, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +121,9 @@ func TestCountersConcurrentMerge(t *testing.T) {
 func TestScheduleBatchMatchesSerial(t *testing.T) {
 	m := machines.Cydra5()
 	loops := BenchmarkLoops(m)[:40]
-	serial := ComputeTable5Workers(m, loops, 6, 1)
+	serial := ComputeTable5(m, loops, 6, 1)
 	for _, workers := range []int{parallel.Workers(0), 3} {
-		got := ComputeTable5Workers(m, loops, 6, workers)
+		got := ComputeTable5(m, loops, 6, workers)
 		if *got != *serial {
 			t.Errorf("workers=%d: Table 5 struct differs from serial", workers)
 		}

@@ -67,18 +67,12 @@ type Table5 struct {
 // ComputeTable5 schedules the benchmark with the given budget ratio and
 // summarizes it. The query module is the original discrete description
 // (the representation does not change any schedule, so the statistics are
-// representation-independent).
-func ComputeTable5(m *resmodel.Machine, loops []*ddg.Graph, budgetRatio int) *Table5 {
-	return ComputeTable5Workers(m, loops, budgetRatio, 1)
-}
-
-// ComputeTable5Workers is ComputeTable5 with the loops fanned across a
-// bounded worker pool (workers < 1 selects GOMAXPROCS). Each worker
-// schedules through its own arena of query modules over the shared
-// read-only expanded description, and the per-loop results are merged
-// in loop order, so the rendered table is byte-identical at every
-// worker count.
-func ComputeTable5Workers(m *resmodel.Machine, loops []*ddg.Graph, budgetRatio, workers int) *Table5 {
+// representation-independent). The loops are fanned across a bounded
+// worker pool (workers < 1 selects GOMAXPROCS); each worker schedules
+// through its own arena of query modules over the shared read-only
+// expanded description, and the per-loop results are merged in loop
+// order, so the rendered table is byte-identical at every worker count.
+func ComputeTable5(m *resmodel.Machine, loops []*ddg.Graph, budgetRatio, workers int) *Table5 {
 	e := m.Expand()
 	results := sched.ScheduleBatch(loops, m,
 		func(ii int) query.Module { return query.NewDiscrete(e, ii) },

@@ -131,20 +131,15 @@ type loopStats struct {
 }
 
 // ComputeTable6 schedules the loop benchmark once per representation and
-// measures the contention query module.
-func ComputeTable6(m *resmodel.Machine, loops []*ddg.Graph, reps []Representation) *Table6 {
-	return ComputeTable6Workers(m, loops, reps, 1)
-}
-
-// ComputeTable6Workers is ComputeTable6 with each representation's
-// per-loop Schedule calls fanned across a bounded worker pool (workers
-// < 1 selects GOMAXPROCS). Each worker schedules through its own
+// measures the contention query module. Each representation's per-loop
+// Schedule calls are fanned across a bounded worker pool (workers < 1
+// selects GOMAXPROCS). Each worker schedules through its own
 // sched.Arena — modules are built once per worker and reset between
 // loops, never shared — and per-loop counter attribution differences
 // the arena's monotone counter snapshots around the call. The rendered
 // table is byte-identical at every worker count and to the historical
 // fresh-module-per-loop runs.
-func ComputeTable6Workers(m *resmodel.Machine, loops []*ddg.Graph, reps []Representation, workers int) *Table6 {
+func ComputeTable6(m *resmodel.Machine, loops []*ddg.Graph, reps []Representation, workers int) *Table6 {
 	t := &Table6{CheckDistribution: map[string]float64{}}
 	for ri, rep := range reps {
 		t.Labels = append(t.Labels, rep.Label)

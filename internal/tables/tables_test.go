@@ -68,7 +68,7 @@ func TestTable5(t *testing.T) {
 	if len(loops) != 1327 {
 		t.Fatalf("benchmark loops = %d", len(loops))
 	}
-	t5 := ComputeTable5(m, loops[:300], 6)
+	t5 := ComputeTable5(m, loops[:300], 6, 1)
 	if t5.Ops.Min < 2 || t5.Ops.Avg < 10 {
 		t.Errorf("ops dist wrong: %+v", t5.Ops)
 	}
@@ -91,7 +91,7 @@ func TestTable6SmallRun(t *testing.T) {
 	if len(reps) < 4 {
 		t.Fatalf("representations = %d", len(reps))
 	}
-	t6 := ComputeTable6(m, loops, reps)
+	t6 := ComputeTable6(m, loops, reps, 1)
 	if len(t6.Weighted) != len(reps) {
 		t.Fatalf("weighted columns = %d", len(t6.Weighted))
 	}
@@ -175,7 +175,7 @@ func TestMemoryTable(t *testing.T) {
 }
 
 func TestKernelsReport(t *testing.T) {
-	rows, err := ComputeKernels(machines.Cydra5())
+	rows, err := ComputeKernels(machines.Cydra5(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

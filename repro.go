@@ -38,6 +38,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/ddg"
+	"repro/internal/forbidden"
 	"repro/internal/loopgen"
 	"repro/internal/machines"
 	"repro/internal/mdl"
@@ -197,10 +198,10 @@ func ModuloScheduleLoop(g *Loop, m *Machine, factory ModuleFactory, cfg SchedCon
 	return sched.Schedule(g, m, factory, cfg)
 }
 
-// VerifyModuloSchedule checks a schedule against the loop's dependences
-// and the given description's resources.
+// VerifyModuloSchedule certifies a schedule against the loop's
+// dependences and the forbidden-latency matrix of the given description.
 func VerifyModuloSchedule(g *Loop, e *Expanded, r ModuloSchedule) error {
-	return sched.VerifySchedule(g, e, r)
+	return sched.Certify(g, e, forbidden.Compute(e), r)
 }
 
 // DefaultSchedConfig returns the paper's scheduler configuration
@@ -261,18 +262,12 @@ func BuildKernel(g *Loop, r ModuloSchedule) (*sched.Kernel, error) {
 	return sched.BuildKernel(g, r)
 }
 
-// ValidateOverlap replays several overlapped iterations of a modulo
-// schedule on a fresh linear reserved table over the given description
-// and verifies they are contention- and dependence-free — the end-to-end
-// proof that the pipelined steady state is correct beyond the MRT
-// abstraction.
+// ValidateOverlap certifies a modulo schedule against the given
+// description's forbidden-latency matrix, then checks several overlapped
+// iterations as one linear schedule for contention — the end-to-end proof
+// that the pipelined steady state is correct beyond the MRT abstraction.
 func ValidateOverlap(g *Loop, e *Expanded, r ModuloSchedule, iters int) error {
-	return sched.ValidateOverlap(g, e, r, iters, func() interface {
-		Check(op, cycle int) bool
-		Assign(op, cycle, id int)
-	} {
-		return query.NewDiscrete(e, 0)
-	})
+	return sched.ValidateOverlap(g, e, forbidden.Compute(e), r, iters)
 }
 
 // ScheduleRegion schedules every basic block of an acyclic control-flow
@@ -284,10 +279,10 @@ func ScheduleRegion(g *Region, e *Expanded) (*RegionSchedule, error) {
 }
 
 // ReplayRegionPath validates a region schedule along one control path by
-// concatenating its blocks on a single reserved table over the given
-// description.
+// concatenating its blocks into one linear schedule and checking it
+// against the given description's forbidden-latency matrix.
 func ReplayRegionPath(g *Region, e *Expanded, s *RegionSchedule, path []int) error {
-	return cfg.ReplayPath(g, e, s, path)
+	return cfg.ReplayPath(g, forbidden.Compute(e), s, path)
 }
 
 // OperationDrivenSchedule schedules an acyclic dependence graph in
