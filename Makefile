@@ -53,11 +53,14 @@ bench:
 
 # The query hot-path benchmarks that pin the observability bargain
 # (metrics disabled must stay at 0 allocs/op) plus the arena pins:
-# module Reset and steady-state arena scheduling allocate nothing.
+# module Reset and steady-state arena scheduling allocate nothing. The
+# generating-set pin bounds Algorithm 1's allocations on the Cydra 5.
 bench-alloc:
 	$(GO) test -run '^$$' -bench 'BenchmarkCheck|BenchmarkAssign' -benchmem ./internal/query/
 	$(GO) test -run '^TestResetDoesNotAllocate$$' -count=1 -v ./internal/query/
 	$(GO) test -run '^TestArenaSteadyStateZeroAlloc$$' -count=1 -v ./internal/sched/
+	$(GO) test -run '^$$' -bench '^BenchmarkGeneratingSetCydra5$$' -benchmem ./internal/core/
+	$(GO) test -run '^TestGeneratingSetAllocs$$' -count=1 -v ./internal/core/
 
 # A machine-readable profile of a representative evaluation run (Table 6
 # exercises scheduling, reduction, the cache and the worker pool). The

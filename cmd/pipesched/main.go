@@ -143,7 +143,7 @@ func main() {
 			fail("%v", err)
 		}
 		fmt.Println()
-		fmt.Print(k.Render(g, desc, 100))
+		fmt.Print(k.Render(g, 100))
 		if err := repro.ValidateOverlap(g, m.Expand(), r, 6); err != nil {
 			fail("overlap validation: %v", err)
 		}

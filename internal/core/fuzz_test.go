@@ -130,19 +130,15 @@ func encodeMachine(obj Objective, m *resmodel.Machine) ([]byte, bool) {
 	return out, true
 }
 
-// FuzzReducePreservesF fuzzes the paper's central theorem end to end:
-// for any valid machine description and objective, the reduced
-// description's forbidden-latency matrix equals the original's exactly
-// (and the class-level reduction passes Verify, which re-derives both
-// matrices). A crasher here is a reduction that silently changes
-// scheduling constraints — the failure mode the paper exists to prevent.
-func FuzzReducePreservesF(f *testing.F) {
+// fuzzReduceSeeds returns the seed corpus of FuzzReducePreservesF.
+func fuzzReduceSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
 	// Figure 1's example machine under both objective kinds.
 	for _, obj := range []Objective{{Kind: ResUses}, {Kind: KCycleWord, K: 2}} {
 		if seed, ok := encodeMachine(obj, machines.Example()); ok {
-			f.Add(seed)
+			seeds = append(seeds, seed)
 		} else {
-			f.Fatal("example machine no longer fits the fuzz caps; widen them")
+			tb.Fatal("example machine no longer fits the fuzz caps; widen them")
 		}
 	}
 	// Table 5/6-flavoured patterns: a partially pipelined two-stage unit
@@ -155,19 +151,30 @@ func FuzzReducePreservesF(f *testing.F) {
 	pipelined.Op("add", 2).Use("stage1", 0).Use("bus", 2)
 	pipelined.Op("nop", 1)
 	if seed, ok := encodeMachine(Objective{Kind: ResUses}, pipelined.Build()); ok {
-		f.Add(seed)
+		seeds = append(seeds, seed)
 	}
 	alts := resmodel.NewBuilder("alts")
 	alts.Resources("a0", "a1", "wb")
 	alts.Op("add", 1).Use("a0", 0).Use("wb", 1).Alt().Use("a1", 0).Use("wb", 1)
 	alts.Op("store", 0).Use("wb", 0)
 	if seed, ok := encodeMachine(Objective{Kind: KCycleWord, K: 3}, alts.Build()); ok {
-		f.Add(seed)
+		seeds = append(seeds, seed)
 	}
 	// Raw bytes: truncated input and a dense single-resource machine.
-	f.Add([]byte{})
-	f.Add([]byte{2, 0, 2, 1, 1, 4, 0, 0, 0, 1, 0, 2, 0, 3, 3, 1, 2, 0, 4})
+	seeds = append(seeds, []byte{}, []byte{2, 0, 2, 1, 1, 4, 0, 0, 0, 1, 0, 2, 0, 3, 3, 1, 2, 0, 4})
+	return seeds
+}
 
+// FuzzReducePreservesF fuzzes the paper's central theorem end to end:
+// for any valid machine description and objective, the reduced
+// description's forbidden-latency matrix equals the original's exactly
+// (and the class-level reduction passes Verify, which re-derives both
+// matrices). A crasher here is a reduction that silently changes
+// scheduling constraints — the failure mode the paper exists to prevent.
+func FuzzReducePreservesF(f *testing.F) {
+	for _, seed := range fuzzReduceSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &byteReader{data: data}
 		obj := decodeObjective(r.next())

@@ -27,7 +27,7 @@ func Prune(m *forbidden.Matrix, G []*Resource) []*Resource {
 	}
 	entries := make([]entry, 0, len(G))
 	for _, r := range G {
-		if r.dead || r.NumUses() == 0 {
+		if r.NumUses() == 0 {
 			continue
 		}
 		set := bitset.NewDense(ti.Len())

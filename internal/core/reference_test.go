@@ -1,20 +1,24 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/forbidden"
+	"repro/internal/machines"
 	"repro/internal/resmodel"
 )
 
-// This file keeps the pre-rewrite map-based Prune and ExactCover as test
-// oracles: the dense-index/bitset production paths must reproduce their
-// results exactly. The helpers (genTriples, subsetOf, tripleKey) are the
-// old production code verbatim; property tests in core_test.go also use
-// them as an independent check on the bitset paths.
+// This file keeps the pre-rewrite slice-based GeneratingSet and the
+// map-based Prune and ExactCover as test oracles: the bitmap, dense-index
+// and bitset production paths must reproduce their results exactly. The
+// helpers (genTriples, subsetOf, tripleKey) are the old production code
+// verbatim; property tests in core_test.go also use them as an
+// independent check on the bitset paths.
 
 // genTriples returns the sorted set of non-negative forbidden-latency
 // triples generated by the resource: for usages (X, cx) and (Y, cy),
@@ -67,6 +71,224 @@ func tripleKey(ts []int64) string {
 	return string(b)
 }
 
+// refResource is the pre-rewrite resource under construction: a sorted
+// slice of encoded usages plus a tombstone flag.
+type refResource struct {
+	uses []uint32
+	dead bool
+}
+
+func newRefResource(us ...uint32) *refResource {
+	r := &refResource{uses: make([]uint32, 0, len(us))}
+	for _, u := range us {
+		r.add(u)
+	}
+	return r
+}
+
+// add inserts u in sorted position (no-op when present).
+func (r *refResource) add(u uint32) {
+	i := sort.Search(len(r.uses), func(i int) bool { return r.uses[i] >= u })
+	if i < len(r.uses) && r.uses[i] == u {
+		return
+	}
+	r.uses = append(r.uses, 0)
+	copy(r.uses[i+1:], r.uses[i:])
+	r.uses[i] = u
+}
+
+func (r *refResource) NumUses() int { return len(r.uses) }
+
+func (r *refResource) StringWith(opName func(int) string) string {
+	return (&Resource{uses: r.uses}).StringWith(opName)
+}
+
+// refCompat reports whether two usages may coexist in one synthesized
+// resource: usages (X, cx) and (Y, cy) sharing a resource forbid latency
+// (cy - cx) in F[X][Y], which must already be forbidden.
+func refCompat(m *forbidden.Matrix, a, b uint32) bool {
+	ua, ub := decodeU(a), decodeU(b)
+	return m.Forbidden(ua.Op, ub.Op, ub.Cycle-ua.Cycle)
+}
+
+// generatingSetReference is the pre-rewrite GeneratingSet: resources are
+// sorted usage slices, dominated ones are tombstoned in one creation list
+// that every scan walks, and subset tests are linear merges.
+func generatingSetReference(m *forbidden.Matrix, tr *Trace) []*Resource {
+	opName := func(i int) string { return fmt.Sprintf("op%d", i) }
+	if tr != nil && tr.OpName != nil {
+		opName = tr.OpName
+	}
+
+	var G []*refResource
+
+	// subsetOfRes reports whether every usage of a is in b: a linear merge
+	// over the sorted usage slices.
+	subsetOfRes := func(a, b *refResource) bool {
+		if len(a.uses) > len(b.uses) {
+			return false
+		}
+		j := 0
+		for _, u := range a.uses {
+			for j < len(b.uses) && b.uses[j] < u {
+				j++
+			}
+			if j >= len(b.uses) || b.uses[j] != u {
+				return false
+			}
+			j++
+		}
+		return true
+	}
+
+	// register inserts r into G, maintaining G as an antichain under
+	// usage-set inclusion: r is discarded when a live superset already
+	// exists (the superset serves as the growth seed in Theorem 1's
+	// induction), and live subsets of r are tombstoned (they are dominated
+	// — their generated latencies are a subset of r's, so the final
+	// pruning would remove them anyway). This keeps the generating set
+	// near the true number of maximal resources instead of accumulating
+	// combinatorially many submaximal intermediates on dense machines.
+	register := func(r *refResource) bool {
+		for _, q := range G {
+			if q.dead {
+				continue
+			}
+			if subsetOfRes(r, q) {
+				return false
+			}
+			if subsetOfRes(q, r) {
+				q.dead = true
+			}
+		}
+		G = append(G, r)
+		return true
+	}
+
+	// compatible is the scan buffer: the usages of the resource under
+	// test that are compatible with both pair usages. newRefResource
+	// copies what it keeps, so the buffer is reused across rule
+	// applications.
+	var compatible []uint32
+
+	for _, p := range elementaryPairs(m) {
+		u0, u1 := encodeU(p.X, 0), encodeU(p.Y, p.F)
+		containsBoth := false
+		var pt *PairTrace
+		if tr != nil {
+			pt = &PairTrace{Pair: p}
+		}
+
+		snap := len(G) // resources created for this pair are not reprocessed with it
+		for i := 0; i < snap; i++ {
+			q := G[i]
+			if q.dead {
+				continue
+			}
+			// Compatibility scan: is every usage of q compatible with both
+			// pair usages, and which ones are?
+			compatible = compatible[:0]
+			fully := true
+			for _, u := range q.uses {
+				if refCompat(m, u, u0) && refCompat(m, u, u1) {
+					compatible = append(compatible, u)
+				} else {
+					fully = false
+				}
+			}
+			switch {
+			case fully:
+				// Rule 1: add the pair's usages to q in place, then restore
+				// the antichain (q may have converged onto or absorbed
+				// another resource).
+				before := ""
+				if pt != nil {
+					before = q.StringWith(opName)
+				}
+				q.add(u0)
+				q.add(u1)
+				for j, other := range G {
+					if j == i || other.dead {
+						continue
+					}
+					if subsetOfRes(q, other) {
+						q.dead = true
+						break
+					}
+					if subsetOfRes(other, q) {
+						other.dead = true
+					}
+				}
+				containsBoth = true
+				if pt != nil {
+					pt.Steps = append(pt.Steps, TraceStep{Rule1, before, q.StringWith(opName)})
+				}
+			default:
+				// Rule 2: consider a new resource = pair + compatible usages
+				// of q. If that resource is simply the pair itself with no
+				// other usages, it is discarded (Rule 3 decides later).
+				nr := newRefResource(append(compatible, u0, u1)...)
+				if nr.NumUses() > 2 {
+					added := register(nr)
+					containsBoth = true // nr (or its live duplicate) contains both
+					if pt != nil {
+						after := ""
+						if added {
+							after = nr.StringWith(opName)
+						}
+						pt.Steps = append(pt.Steps, TraceStep{Rule2, q.StringWith(opName), after})
+					}
+				} else if pt != nil {
+					pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, q.StringWith(opName), ""})
+				}
+			}
+		}
+
+		if !containsBoth {
+			// Rule 3: the pair itself becomes a new resource.
+			nr := newRefResource(u0, u1)
+			register(nr)
+			if pt != nil {
+				pt.Steps = append(pt.Steps, TraceStep{Rule3, "", nr.StringWith(opName)})
+			}
+		}
+
+		if pt != nil {
+			for _, r := range G {
+				if !r.dead {
+					pt.Set = append(pt.Set, r.StringWith(opName))
+				}
+			}
+			tr.Pairs = append(tr.Pairs, *pt)
+		}
+	}
+
+	// Rule 4: operations whose only forbidden latency is the trivial
+	// 0-self-contention need a dedicated single-usage resource; every other
+	// resource-using operation appears in some elementary pair, which
+	// already forbids its 0-self-contention.
+	for x := 0; x < m.NumOps; x++ {
+		if m.SelfOnly(x) {
+			nr := newRefResource(encodeU(x, 0))
+			if register(nr) && tr != nil {
+				tr.Pairs = append(tr.Pairs, PairTrace{
+					Pair:  ElemPair{X: x, Y: x, F: 0},
+					Steps: []TraceStep{{Rule4, "", nr.StringWith(opName)}},
+				})
+			}
+		}
+	}
+
+	// Drop tombstoned duplicates.
+	var out []*Resource
+	for _, r := range G {
+		if !r.dead {
+			out = append(out, &Resource{uses: r.uses})
+		}
+	}
+	return out
+}
+
 // pruneReference is the pre-rewrite Prune: sorted-[]int64 triple sets,
 // string-keyed dedup, merge-based subset dominance.
 func pruneReference(m *forbidden.Matrix, G []*Resource) []*Resource {
@@ -76,7 +298,7 @@ func pruneReference(m *forbidden.Matrix, G []*Resource) []*Resource {
 	}
 	entries := make([]entry, 0, len(G))
 	for _, r := range G {
-		if r.dead || r.NumUses() == 0 {
+		if r.NumUses() == 0 {
 			continue
 		}
 		entries = append(entries, entry{r, genTriples(m, r)})
@@ -296,6 +518,97 @@ func (s *refExactState) snapshot() []Selected {
 			return us[i].Op < us[j].Op
 		})
 		out = append(out, Selected{Res: s.G[ri], Uses: us})
+	}
+	return out
+}
+
+// TestGeneratingSetMatchesReference: the bitmap GeneratingSet returns the
+// same resources, in the same order, as the pre-rewrite slice-based
+// reference, and a traced run records the same rule applications and
+// intermediate sets pair by pair. Machines: the built-ins, the
+// FuzzReducePreservesF seeds, 300 default random machines, and random
+// machines with multi-word bitmaps (wide spans) and with more than 64
+// classes (where operation signatures share bits).
+func TestGeneratingSetMatchesReference(t *testing.T) {
+	type tcase struct {
+		name string
+		m    *resmodel.Machine
+	}
+	var cases []tcase
+	for _, name := range machines.Names() {
+		cases = append(cases, tcase{name, machines.ByName(name)})
+	}
+	for i, seed := range fuzzReduceSeeds(t) {
+		r := &byteReader{data: seed}
+		decodeObjective(r.next())
+		if m := decodeMachine(r); m != nil {
+			cases = append(cases, tcase{fmt.Sprintf("fuzz seed %d", i), m})
+		}
+	}
+	wide := resmodel.RandomConfig{MaxResources: 12, MaxOps: 10, MaxSpan: 24, MaxUsesPerOp: 3, AltProb: 0.2, EmptyOpProb: 0.05}
+	many := resmodel.RandomConfig{MaxResources: 120, MaxOps: 100, MaxSpan: 2, MaxUsesPerOp: 2, EmptyOpProb: 0.05}
+	for _, g := range []struct {
+		name string
+		cfg  resmodel.RandomConfig
+		n    int
+	}{{"default", resmodel.DefaultRandomConfig(), 300}, {"wide", wide, 60}, {"many", many, 20}} {
+		rng := rand.New(rand.NewSource(19))
+		for i := 0; i < g.n; i++ {
+			cases = append(cases, tcase{fmt.Sprintf("%s random %d", g.name, i), resmodel.Random(rng, g.cfg)})
+		}
+	}
+
+	manyClasses := 0
+	for _, c := range cases {
+		m := forbidden.Compute(c.m.Expand())
+		cm := m.Collapse(m.ComputeClasses())
+		if cm.NumOps > 64 {
+			manyClasses++
+		}
+		names := make([]string, cm.NumOps)
+		for i := range names {
+			names[i] = fmt.Sprintf("op%d", i)
+		}
+		opName := func(i int) string { return names[i] }
+		gotTr, wantTr := Trace{OpName: opName}, Trace{OpName: opName}
+		got, want := GeneratingSet(cm, &gotTr), generatingSetReference(cm, &wantTr)
+		if !sameResources(got, want) {
+			t.Fatalf("%s: generating set\n got %v\nwant %v", c.name, usesOf(got), usesOf(want))
+		}
+		if untraced := GeneratingSet(cm, nil); !sameResources(untraced, want) {
+			t.Fatalf("%s: untraced generating set differs from the reference", c.name)
+		}
+		if len(gotTr.Pairs) != len(wantTr.Pairs) {
+			t.Fatalf("%s: trace has %d pairs, want %d", c.name, len(gotTr.Pairs), len(wantTr.Pairs))
+		}
+		for i, w := range wantTr.Pairs {
+			g := gotTr.Pairs[i]
+			if g.Pair != w.Pair || !slices.Equal(g.Steps, w.Steps) || !slices.Equal(g.Set, w.Set) {
+				t.Fatalf("%s: trace pair %d\n got %+v\nwant %+v", c.name, i, g, w)
+			}
+		}
+	}
+	if manyClasses == 0 {
+		t.Error("no case has more than 64 classes; the signature-sharing path went untested")
+	}
+}
+
+func sameResources(a, b []*Resource) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i].uses, b[i].uses) {
+			return false
+		}
+	}
+	return true
+}
+
+func usesOf(G []*Resource) [][]uint32 {
+	out := make([][]uint32, len(G))
+	for i, r := range G {
+		out[i] = r.uses
 	}
 	return out
 }

@@ -25,7 +25,7 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/forbidden"
 )
@@ -51,42 +51,14 @@ func decodeU(e uint32) U {
 	return U{Op: int(e >> cycleBits), Cycle: int(e & cycleMask)}
 }
 
-// Resource is a synthesized resource under construction: a set of mutually
-// compatible usages, stored as a sorted slice of encoded usages. The slice
-// representation keeps the generating-set inner loops (compatibility scans,
-// subset checks, antichain maintenance) on linear cache-friendly merges
-// with zero map operations — the maps this replaced dominated the
-// reduction pipeline's profile. All resources built by the generating-set
-// algorithm have their earliest usage in cycle 0 (the paper's canonical
-// form).
+// Resource is a synthesized resource: a set of mutually compatible
+// usages, stored as a sorted slice of encoded usages. GeneratingSet builds
+// resources as usage bitmaps and hands them out in this form, which Prune,
+// SelectCover and ExactCover read. All resources built by the
+// generating-set algorithm have their earliest usage in cycle 0 (the
+// paper's canonical form).
 type Resource struct {
 	uses []uint32 // sorted ascending (encoded (op, cycle) order)
-	dead bool     // tombstoned duplicate
-}
-
-func newResource(us ...uint32) *Resource {
-	r := &Resource{uses: make([]uint32, 0, len(us))}
-	for _, u := range us {
-		r.add(u)
-	}
-	return r
-}
-
-func (r *Resource) has(u uint32) bool {
-	i := sort.Search(len(r.uses), func(i int) bool { return r.uses[i] >= u })
-	return i < len(r.uses) && r.uses[i] == u
-}
-
-// add inserts u in sorted position (no-op when present). Resources stay
-// small (tens of usages), so the O(n) insertion loses to no map here.
-func (r *Resource) add(u uint32) {
-	i := sort.Search(len(r.uses), func(i int) bool { return r.uses[i] >= u })
-	if i < len(r.uses) && r.uses[i] == u {
-		return
-	}
-	r.uses = append(r.uses, 0)
-	copy(r.uses[i+1:], r.uses[i:])
-	r.uses[i] = u
 }
 
 // NumUses returns the number of usages in the resource.
@@ -107,37 +79,24 @@ func (r *Resource) Uses() []U {
 	return out
 }
 
-// String renders the resource as "{A@0, B@2}" using opName for labels.
+// StringWith renders the resource as "{A@0, B@2}" using opName for labels.
 func (r *Resource) StringWith(opName func(int) string) string {
-	var b strings.Builder
-	b.WriteByte('{')
+	b := []byte{'{'}
 	for i, u := range r.Uses() {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s@%d", opName(u.Op), u.Cycle)
+		b = append(b, opName(u.Op)...)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(u.Cycle), 10)
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// compat reports whether two usages may coexist in one synthesized resource:
-// the latency their collision would forbid must already be forbidden in the
-// target machine. Usages (X, cx) and (Y, cy) sharing a resource forbid
-// latency (cy - cx) in F[X][Y].
-func compat(m *forbidden.Matrix, a, b uint32) bool {
-	ua, ub := decodeU(a), decodeU(b)
-	return m.Forbidden(ua.Op, ub.Op, ub.Cycle-ua.Cycle)
+	return string(append(b, '}'))
 }
 
 // ElemPair is the elementary pair associated with a non-negative forbidden
 // latency F in F[X][Y]: a usage by X in cycle 0 and a usage by Y in cycle F.
 type ElemPair struct {
 	X, Y, F int
-}
-
-func (p ElemPair) usages() (u0, u1 uint32) {
-	return encodeU(p.X, 0), encodeU(p.Y, p.F)
 }
 
 // elementaryPairs lists the elementary pairs of the matrix in deterministic

@@ -63,7 +63,7 @@ func BuildKernel(g *ddg.Graph, r Result) (*Kernel, error) {
 // prologue covers cycles before the first full kernel, the kernel repeats
 // trip-Stages+1 times, and the epilogue drains the last Stages-1
 // iterations.
-func (k *Kernel) Render(g *ddg.Graph, e *resmodel.Expanded, trip int) string {
+func (k *Kernel) Render(g *ddg.Graph, trip int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "software-pipelined kernel: II=%d, %d stage(s)\n", k.II, k.Stages)
 	for c, row := range k.Rows {
@@ -80,7 +80,6 @@ func (k *Kernel) Render(g *ddg.Graph, e *resmodel.Expanded, trip int) string {
 		fmt.Fprintf(&b, "prologue: %d cycles (pipeline fill), kernel executed %d time(s), epilogue: %d cycles (drain)\n",
 			(k.Stages-1)*k.II, trip-k.Stages+1, (k.Stages-1)*k.II)
 	}
-	_ = e
 	return b.String()
 }
 

@@ -47,7 +47,7 @@ func TestKernelDotProduct(t *testing.T) {
 	if k.Stages < 2 {
 		t.Errorf("Stages = %d, want >= 2 for a 22-cycle load latency", k.Stages)
 	}
-	out := k.Render(g, e, 10)
+	out := k.Render(g, 10)
 	for _, want := range []string{"II=", "cycle", "prologue"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)
