@@ -12,7 +12,7 @@
 #   make opt-gap          regenerate the OPTGAP.md optimality-gap report
 #   make perfbench-vet    vet the separate perfbench benchmark module
 #   make perfbench-test   run the perfbench benchmark module's tests
-#   make profile          CPU+heap pprof profiles of the IMS corpus benchmark
+#   make profile          CPU+heap pprof profiles of the ims-stream scheduling path
 #
 # Wall-time performance is measured by perfbench (BENCHMARK.json):
 # python3 perfbench/run.py
@@ -97,14 +97,15 @@ perfbench-vet:
 perfbench-test:
 	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) test ./...
 
-# pprof profiles of the scheduler hot path: BenchmarkIMSCorpusRangeScan
-# (internal/sched) schedules 200 corpus loops through IMS on the reduced
-# bitvector, whose range scans are the bit-parallel verdict scan. The
-# profiles and the test binary they symbolize against (sched.test) are
-# written to the root of the checkout. Inspect with
-# `go tool pprof -top cpu.pprof` (or mem.pprof).
+# pprof profiles of the scheduler hot path perfbench's ims-stream
+# workload times: BenchmarkScheduleStreamCydra5 (internal/sched) streams
+# one 2000-loop DefaultStrata block through ScheduleStream on the Cydra 5
+# reduced under the 64-cycle-word objective, modules chosen by
+# query.Select "auto". The profiles and the test binary they symbolize
+# against (sched.test) are written to the root of the checkout. Inspect
+# with `go tool pprof -top cpu.pprof` (or mem.pprof).
 profile:
-	$(GO) test -run '^$$' -bench '^BenchmarkIMSCorpusRangeScan$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkScheduleStreamCydra5$$' \
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/sched/
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof -top cpu.pprof"
 

@@ -8,6 +8,8 @@ package ddg
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/resmodel"
 )
 
 // Node is one operation of a loop body. Op indexes the operation in the
@@ -154,21 +156,14 @@ func feasibleII(n int, edges []Edge, ii int, dist []int64) bool {
 	return true
 }
 
-// UsageCounter abstracts the machine information ResMII needs: how many
-// times alternative a of (source) operation op uses resource r, and the
-// machine's resource and alternative counts.
+// UsageCounter abstracts the machine information ResMII needs: the
+// machine's resource and alternative counts and the usage list of
+// alternative alt of (source) operation op, one entry per usage (a
+// resource used twice appears twice).
 type UsageCounter interface {
 	NumResources() int
 	NumAlts(op int) int
-	Uses(op, alt, resource int) int
-}
-
-// UsageFiller is an optional extension of UsageCounter: fill a
-// per-resource usage-count vector for (op, alt) in one pass over the
-// usage list instead of one Uses probe per resource. ResMII detects it
-// by type assertion, so counters without it still work.
-type UsageFiller interface {
-	FillUses(op, alt int, us []int)
+	AltUses(op, alt int) []resmodel.Usage
 }
 
 // ResMII returns the resource-constrained minimum initiation interval

@@ -14,29 +14,7 @@ func (mu MachineUsage) NumResources() int { return len(mu.M.Resources) }
 // NumAlts implements UsageCounter.
 func (mu MachineUsage) NumAlts(op int) int { return len(mu.M.Ops[op].Alts) }
 
-// Uses implements UsageCounter.
-func (mu MachineUsage) Uses(op, alt, resource int) int {
-	n := 0
-	for _, u := range mu.M.Ops[op].Alts[alt].Uses {
-		if u.Resource == resource {
-			n++
-		}
-	}
-	return n
-}
+// AltUses implements UsageCounter.
+func (mu MachineUsage) AltUses(op, alt int) []resmodel.Usage { return mu.M.Ops[op].Alts[alt].Uses }
 
-// FillUses implements UsageFiller: one pass over the alternative's usage
-// list instead of one Uses scan per resource.
-func (mu MachineUsage) FillUses(op, alt int, us []int) {
-	for i := range us {
-		us[i] = 0
-	}
-	for _, u := range mu.M.Ops[op].Alts[alt].Uses {
-		us[u.Resource]++
-	}
-}
-
-var (
-	_ UsageCounter = MachineUsage{}
-	_ UsageFiller  = MachineUsage{}
-)
+var _ UsageCounter = MachineUsage{}

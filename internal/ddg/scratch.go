@@ -1,5 +1,7 @@
 package ddg
 
+import "repro/internal/resmodel"
+
 // MIIScratch computes ResMII and RecMII through reusable buffers; it is
 // the one implementation of the minimum-II computation, and the Graph
 // methods of the same names run it on a fresh scratch. A scheduler arena
@@ -9,7 +11,7 @@ package ddg
 // goroutines.
 type MIIScratch struct {
 	// ResMII buffers (per-resource loads).
-	load, us, best []int
+	load, us []int
 
 	// RecMII buffers: adjacency CSR, iterative-Tarjan state, per-component
 	// edge grouping and the Floyd–Warshall matrix.
@@ -54,53 +56,57 @@ func (s *MIIScratch) MII(g *Graph, uc UsageCounter) int {
 // II cycles of that resource. Following Rau's bin-packing estimate,
 // operations with alternatives are assigned greedily to the alternative
 // that minimizes the maximum resource load (so three loads over two
-// memory ports count 2+1, not 1.5 each).
+// memory ports count 2+1, not 1.5 each); the first alternative with a
+// strictly smaller maximum wins.
+//
+// The walk is sparse: an alternative's maximum is the larger of the
+// running maximum load and the loads of the resources it touches, so only
+// those are counted (in us, cleared again after each alternative) and
+// only the chosen alternative's are added to load.
 func (s *MIIScratch) ResMII(g *Graph, uc UsageCounter) int {
 	nr := uc.NumResources()
 	s.load = intbuf(s.load, nr)
 	s.us = intbuf(s.us, nr)
-	s.best = intbuf(s.best, nr)
-	load, us, best := s.load, s.us, s.best
+	load, us := s.load, s.us
 	for i := range load {
 		load[i] = 0
+		us[i] = 0
 	}
-	filler, _ := uc.(UsageFiller)
+	maxLoad := 0
 	for _, node := range g.Nodes {
 		na := uc.NumAlts(node.Op)
+		var best []resmodel.Usage
 		bestMax := int(^uint(0) >> 1)
-		for i := range best {
-			best[i] = 0
-		}
 		for a := 0; a < na; a++ {
-			if filler != nil {
-				filler.FillUses(node.Op, a, us)
-			} else {
-				for r := 0; r < nr; r++ {
-					us[r] = uc.Uses(node.Op, a, r)
-				}
+			uses := uc.AltUses(node.Op, a)
+			for _, u := range uses {
+				us[u.Resource]++
 			}
-			m := 0
-			for r, u := range us {
-				if l := load[r] + u; l > m {
+			m := maxLoad
+			for _, u := range uses {
+				if l := load[u.Resource] + us[u.Resource]; l > m {
 					m = l
 				}
 			}
+			for _, u := range uses {
+				us[u.Resource] = 0
+			}
 			if m < bestMax {
 				bestMax = m
-				copy(best, us)
+				best = uses
 			}
 		}
-		for r, u := range best {
-			load[r] += u
+		for _, u := range best {
+			load[u.Resource]++
+			if load[u.Resource] > maxLoad {
+				maxLoad = load[u.Resource]
+			}
 		}
 	}
-	mii := 1
-	for _, l := range load {
-		if l > mii {
-			mii = l
-		}
+	if maxLoad < 1 {
+		return 1
 	}
-	return mii
+	return maxLoad
 }
 
 // RecMII returns the recurrence-constrained minimum initiation interval:

@@ -3,6 +3,9 @@ package ddg
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/machines"
+	"repro/internal/resmodel"
 )
 
 // randomGraph builds a loop-shaped graph: a chain with random extra
@@ -80,12 +83,12 @@ func (fixedUsage) NumResources() int { return 2 }
 func (fixedUsage) NumAlts(op int) int {
 	return 2
 }
-func (fixedUsage) Uses(op, alt, resource int) int {
-	if alt == resource {
-		return 1
-	}
-	return 0
+func (fixedUsage) AltUses(op, alt int) []resmodel.Usage {
+	return fixedUses[alt : alt+1]
 }
+
+// fixedUses[a] is alternative a's one usage.
+var fixedUses = []resmodel.Usage{{Resource: 0}, {Resource: 1}}
 
 // TestMIIScratchZeroAllocSteadyState pins that a warmed scratch computes
 // MII without allocating — the property the scheduler arena relies on.
@@ -107,5 +110,24 @@ func TestMIIScratchZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed MIIScratch.MII allocated %.1f times per run, want 0", allocs)
+	}
+
+	// The sparse walk over a machine's usage lists allocates nothing
+	// either (the counter is boxed once, as the scheduler caches it).
+	m := machines.Cydra5()
+	var mu UsageCounter = MachineUsage{M: m}
+	for _, g := range graphs {
+		for v := range g.Nodes {
+			g.Nodes[v].Op = rng.Intn(len(m.Ops))
+		}
+		s.MII(g, mu)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		for _, g := range graphs {
+			s.MII(g, mu)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed sparse MIIScratch.MII allocated %.1f times per run, want 0", allocs)
 	}
 }

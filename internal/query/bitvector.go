@@ -46,8 +46,12 @@ type Bitvector struct {
 
 	// Modulo: mirror covers cycles [0, 2*II) (both images kept in sync)
 	// so any k-cycle window starting in [0, II) is read from adjacent
-	// words without wraparound.
-	mirror []uint64
+	// words without wraparound. mirrorAt[t] is where MRT cycle t of the
+	// mirror lives, for t in [0, 2*II): every mirror access is a cycle
+	// or its second image t+II for some t < II, so no access divides
+	// by k.
+	mirror   []uint64
+	mirrorAt []mirrorPos
 
 	// occ is the occupancy summary bitmap: bit w is set iff word w of the
 	// backing table (mirror for modulo, reserved for linear) is non-zero.
@@ -77,6 +81,13 @@ type Bitvector struct {
 	evictScratch []int
 	ctr          Counters
 	met          *moduleObs // nil while metrics are disabled
+}
+
+// mirrorPos locates one MRT cycle in the modulo mirror: the word holding
+// it and the bit shift of its nRes resource flags within that word.
+type mirrorPos struct {
+	word  int32
+	shift uint32
 }
 
 // NewBitvector creates a bitvector-representation module. k is the number
@@ -112,6 +123,10 @@ func NewBitvector(e *resmodel.Expanded, k, wordBits, ii int) (*Bitvector, error)
 	b.packed = pt.packed
 	if ii > 0 {
 		b.mirror = make([]uint64, (2*ii+k-1)/k+2)
+		b.mirrorAt = make([]mirrorPos, 2*ii)
+		for t := range b.mirrorAt {
+			b.mirrorAt[t] = mirrorPos{word: int32(t / k), shift: uint32((t % k) * nRes)}
+		}
 		b.occ = make([]uint64, (len(b.mirror)+63)/64)
 		b.rowW = (3*ii+63)/64 + 1
 	} else {
@@ -254,36 +269,46 @@ func (b *Bitvector) modCycle(cycle int) int {
 	return c
 }
 
+// wrap folds an MRT cycle in [0, 2*II) into [0, II) with one conditional
+// subtract. Every modulo write reduces its query cycle once (modCycle)
+// and then adds offsets below II — folded usage cycles, or word and
+// in-word offsets of a folded packed table — so this is the only fold
+// the write path needs.
+func (b *Bitvector) wrap(t int) int {
+	if t >= b.ii {
+		t -= b.ii
+	}
+	return t
+}
+
 // window reads the k-cycle window of reserved flags starting at absolute
 // MRT cycle s in [0, II); its low k*nRes bits are cycles s .. s+k-1 (mod II).
 func (b *Bitvector) window(s int) uint64 {
-	p := s / b.k
-	offCyc := s % b.k
-	off := uint(offCyc * b.nRes)
-	v := b.mirror[p] >> off
-	if offCyc > 0 {
-		v |= b.mirror[p+1] << uint((b.k-offCyc)*b.nRes)
+	p := b.mirrorAt[s]
+	v := b.mirror[p.word] >> p.shift
+	if p.shift > 0 {
+		v |= b.mirror[p.word+1] << (uint32(b.k*b.nRes) - p.shift)
 	}
 	return v
 }
 
-// orCycle ORs one cycle's resource flags into MRT cycle t, maintaining
-// both mirror images.
+// orCycle ORs one cycle's resource flags into MRT cycle t in [0, II),
+// maintaining both mirror images.
 func (b *Bitvector) orCycle(t int, bits uint64) {
-	for _, tt := range [2]int{t, t + b.ii} {
-		wi := tt / b.k
-		b.mirror[wi] |= bits << uint((tt%b.k)*b.nRes)
-		b.occMark(wi)
-	}
+	p, q := b.mirrorAt[t], b.mirrorAt[t+b.ii]
+	b.mirror[p.word] |= bits << p.shift
+	b.occMark(int(p.word))
+	b.mirror[q.word] |= bits << q.shift
+	b.occMark(int(q.word))
 	b.rowsOrCycleMod(t, bits)
 }
 
 func (b *Bitvector) andNotCycle(t int, bits uint64) {
-	for _, tt := range [2]int{t, t + b.ii} {
-		wi := tt / b.k
-		b.mirror[wi] &^= bits << uint((tt%b.k)*b.nRes)
-		b.occSync(wi, b.mirror[wi])
-	}
+	p, q := b.mirrorAt[t], b.mirrorAt[t+b.ii]
+	b.mirror[p.word] &^= bits << p.shift
+	b.occSync(int(p.word), b.mirror[p.word])
+	b.mirror[q.word] &^= bits << q.shift
+	b.occSync(int(q.word), b.mirror[q.word])
 	b.rowsAndNotCycleMod(t, bits)
 }
 
@@ -293,7 +318,7 @@ func (b *Bitvector) orWordMod(w packedWord, s int) {
 	for c := 0; c < b.k; c++ {
 		bits := (w.Bits >> uint(c*b.nRes)) & b.cycMask
 		if bits != 0 {
-			b.orCycle((s+c)%b.ii, bits)
+			b.orCycle(b.wrap(s+c), bits)
 		}
 	}
 }
@@ -302,15 +327,16 @@ func (b *Bitvector) andNotWordMod(w packedWord, s int) {
 	for c := 0; c < b.k; c++ {
 		bits := (w.Bits >> uint(c*b.nRes)) & b.cycMask
 		if bits != 0 {
-			b.andNotCycle((s+c)%b.ii, bits)
+			b.andNotCycle(b.wrap(s+c), bits)
 		}
 	}
 }
 
 // wordStart returns the MRT cycle where op's packed word w starts for a
-// query at cycle jm (already reduced mod II).
+// query at cycle jm (already reduced mod II). A folded table's words
+// start below II, so the sum stays under 2*II.
 func (b *Bitvector) wordStart(jm int, w packedWord) int {
-	return (jm + w.Word*b.k) % b.ii
+	return b.wrap(jm + w.Word*b.k)
 }
 
 // --- Module implementation ---
@@ -533,51 +559,55 @@ func (b *Bitvector) enterUpdateMode() {
 	}
 }
 
+// ownerCell returns the owner field of resource r at linear cycle
+// cycle, widening the grid on demand. Modulo tables index their
+// II-wide grid directly (owners[r*II+t]).
 func (b *Bitvector) ownerCell(r, cycle int) *int32 {
-	var c int
-	if b.ii > 0 {
-		c = b.modCycle(cycle)
-	} else {
-		if cycle >= b.ownerWidth {
-			// Double the grid width; only the fresh tail of each resource
-			// row needs the -1 (unowned) fill. When the backing array is
-			// already wide enough (a reset module regrowing), the rows are
-			// reshaped in place back to front — row r moves from offset
-			// r*oldWidth to the strictly larger r*newWidth, so descending
-			// over rows never clobbers an unmoved one, and copy handles
-			// the overlap within a row.
-			ow, nw := b.ownerWidth, b.ownerWidth
-			for nw <= cycle {
-				nw *= 2
-			}
-			if cap(b.owners) >= b.nRes*nw {
-				cells := b.owners[:b.nRes*nw]
-				for rr := b.nRes - 1; rr >= 0; rr-- {
-					row := cells[rr*nw : (rr+1)*nw]
-					copy(row, cells[rr*ow:(rr+1)*ow])
-					for i := ow; i < nw; i++ {
-						row[i] = -1
-					}
-				}
-				b.owners, b.ownerWidth = cells, nw
-			} else {
-				cells := make([]int32, b.nRes*nw)
-				for rr := 0; rr < b.nRes; rr++ {
-					row := cells[rr*nw : (rr+1)*nw]
-					copy(row, b.owners[rr*ow:(rr+1)*ow])
-					for i := ow; i < nw; i++ {
-						row[i] = -1
-					}
-				}
-				b.owners, b.ownerWidth = cells, nw
-			}
+	if cycle >= b.ownerWidth {
+		// Double the grid width; only the fresh tail of each resource
+		// row needs the -1 (unowned) fill. When the backing array is
+		// already wide enough (a reset module regrowing), the rows are
+		// reshaped in place back to front — row r moves from offset
+		// r*oldWidth to the strictly larger r*newWidth, so descending
+		// over rows never clobbers an unmoved one, and copy handles
+		// the overlap within a row.
+		ow, nw := b.ownerWidth, b.ownerWidth
+		for nw <= cycle {
+			nw *= 2
 		}
-		c = cycle
+		if cap(b.owners) >= b.nRes*nw {
+			cells := b.owners[:b.nRes*nw]
+			for rr := b.nRes - 1; rr >= 0; rr-- {
+				row := cells[rr*nw : (rr+1)*nw]
+				copy(row, cells[rr*ow:(rr+1)*ow])
+				for i := ow; i < nw; i++ {
+					row[i] = -1
+				}
+			}
+			b.owners, b.ownerWidth = cells, nw
+		} else {
+			cells := make([]int32, b.nRes*nw)
+			for rr := 0; rr < b.nRes; rr++ {
+				row := cells[rr*nw : (rr+1)*nw]
+				copy(row, b.owners[rr*ow:(rr+1)*ow])
+				for i := ow; i < nw; i++ {
+					row[i] = -1
+				}
+			}
+			b.owners, b.ownerWidth = cells, nw
+		}
 	}
-	return &b.owners[r*b.ownerWidth+c]
+	return &b.owners[r*b.ownerWidth+cycle]
 }
 
 func (b *Bitvector) setOwners(op, cycle int, id int32) {
+	if b.ii > 0 {
+		jm := b.modCycle(cycle)
+		for _, u := range b.c.uses[op] {
+			b.owners[u.Resource*b.ii+b.wrap(jm+u.Cycle)] = id
+		}
+		return
+	}
 	for _, u := range b.c.uses[op] {
 		*b.ownerCell(u.Resource, cycle+u.Cycle) = id
 	}
@@ -589,6 +619,27 @@ func (b *Bitvector) setOwners(op, cycle int, id int32) {
 // consumes it immediately, so steady-state evictions allocate nothing.
 func (b *Bitvector) updateAssignFree(op, cycle, id int) []int {
 	evicted := b.evictScratch[:0]
+	if b.ii > 0 {
+		// Each folded usage lands at jm+u.Cycle < 2*II: one wrap, then
+		// the busy flag comes from the resource's verdict row and the
+		// owner from the II-wide grid, with no division anywhere.
+		jm := b.modCycle(cycle)
+		for _, u := range b.c.uses[op] {
+			b.ctr.AssignFreeWork++
+			t := b.wrap(jm + u.Cycle)
+			cell := &b.owners[u.Resource*b.ii+t]
+			if b.rows[u.Resource*b.rowW+t>>6]>>uint(t&63)&1 != 0 {
+				if other := int(*cell); other >= 0 && other != id {
+					evicted = append(evicted, other)
+					b.evict(other)
+				}
+			}
+			b.orCycle(t, 1<<uint(u.Resource))
+			*cell = int32(id)
+		}
+		b.evictScratch = evicted
+		return evicted
+	}
 	for _, u := range b.c.uses[op] {
 		b.ctr.AssignFreeWork++
 		t := cycle + u.Cycle
@@ -613,6 +664,19 @@ func (b *Bitvector) evict(id int) {
 	if !ok {
 		panic(fmt.Sprintf("query: evicting unknown instance %d", id))
 	}
+	if b.ii > 0 {
+		jm := b.modCycle(in.cycle)
+		for _, u := range b.c.uses[in.op] {
+			b.ctr.AssignFreeWork++
+			t := b.wrap(jm + u.Cycle)
+			if cell := &b.owners[u.Resource*b.ii+t]; int(*cell) == id {
+				*cell = -1
+				b.andNotCycle(t, 1<<uint(u.Resource))
+			}
+		}
+		delete(b.inst, id)
+		return
+	}
 	for _, u := range b.c.uses[in.op] {
 		b.ctr.AssignFreeWork++
 		t := in.cycle + u.Cycle
@@ -625,20 +689,23 @@ func (b *Bitvector) evict(id int) {
 	delete(b.inst, id)
 }
 
+// reservedBit reads the reserved flag of resource r at cycle (any cycle
+// on a modulo table) from the packed words. The modulo write path reads
+// its busy flags from the verdict rows instead; on modulo tables this
+// accessor is what the rows are verified against.
 func (b *Bitvector) reservedBit(r, cycle int) bool {
 	if b.ii > 0 {
-		t := b.modCycle(cycle)
-		return b.mirror[t/b.k]&(1<<uint((t%b.k)*b.nRes+r)) != 0
+		p := b.mirrorAt[b.modCycle(cycle)]
+		return b.mirror[p.word]&(1<<(p.shift+uint32(r))) != 0
 	}
 	wi := cycle / b.k
 	return wi < len(b.reserved) && b.reserved[wi]&(1<<uint((cycle%b.k)*b.nRes+r)) != 0
 }
 
+// setBit and clearBit flip one flag of a linear table; the modulo
+// write path folds its cycles itself and goes through orCycle and
+// andNotCycle.
 func (b *Bitvector) setBit(r, cycle int) {
-	if b.ii > 0 {
-		b.orCycle(b.modCycle(cycle), 1<<uint(r))
-		return
-	}
 	wi := cycle / b.k
 	b.growWords(wi)
 	b.reserved[wi] |= 1 << uint((cycle%b.k)*b.nRes+r)
@@ -647,10 +714,6 @@ func (b *Bitvector) setBit(r, cycle int) {
 }
 
 func (b *Bitvector) clearBit(r, cycle int) {
-	if b.ii > 0 {
-		b.andNotCycle(b.modCycle(cycle), 1<<uint(r))
-		return
-	}
 	wi := cycle / b.k
 	if wi < len(b.reserved) {
 		b.reserved[wi] &^= 1 << uint((cycle%b.k)*b.nRes+r)

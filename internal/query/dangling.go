@@ -16,7 +16,7 @@ import "fmt"
 type Dangling struct {
 	Op         int // expanded-op index
 	IssueCycle int // < 0: cycles before block entry
-	ID         int // instance id for eviction bookkeeping
+	ID         int // instance id for eviction bookkeeping, in [0, math.MaxInt32] (see Module)
 }
 
 // DanglingSeeder is implemented by reserved-table modules that support

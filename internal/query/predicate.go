@@ -130,7 +130,8 @@ func (p *Predicated) Check(op, cycle, pred int) bool {
 	return true
 }
 
-// Assign reserves op's resources at cycle under pred for instance id.
+// Assign reserves op's resources at cycle under pred for instance id,
+// which lies in [0, math.MaxInt32] as for Module.
 func (p *Predicated) Assign(op, cycle, pred, id int) {
 	p.ctr.AssignCalls++
 	for _, u := range p.c.uses[op] {

@@ -35,7 +35,11 @@ import (
 
 // Module is the contention query interface used by schedulers. Operations
 // are identified by their expanded-op index; instances of a scheduled
-// operation are identified by a caller-chosen non-negative id. Every
+// operation are identified by a caller-chosen id in [0, math.MaxInt32].
+// The owner fields that assign&free evicts by hold ids in 32 bits, so a
+// wider id is truncated: its contentions go unseen, or the wrong
+// instance is evicted. Callers taking ids from outside validate them
+// (the serve executor answers 400). Every
 // module answers range queries (RangeQuerier) and exposes alternative
 // groups (AltGrouper), so schedulers have one slot-search path.
 type Module interface {

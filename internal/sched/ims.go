@@ -276,7 +276,7 @@ type state struct {
 	prevTime  []int
 	everSched []bool
 	inQueue   []bool
-	queue     []int // unscheduled nodes, managed as a sorted-extract set
+	queue     []int // unscheduled nodes: a binary heap in priority order (before)
 }
 
 // attempt runs one iterative-scheduling attempt at the given II.
@@ -316,7 +316,7 @@ func (s *state) attempt(ii int, mod query.Module) bool {
 	for len(s.queue) > 0 {
 		if budget <= 0 {
 			s.res.BudgetExceeded++
-			s.sc.queue = s.queue[:0] // retain grown capacity
+			s.finish()
 			return false
 		}
 		v := s.pop()
@@ -342,8 +342,17 @@ func (s *state) attempt(ii int, mod query.Module) bool {
 		s.res.ChecksPerDecision = append(s.res.ChecksPerDecision, int(ctr.CheckCalls+ctr.FirstFreeCycles-c0))
 		s.res.ScanWidths = append(s.res.ScanWidths, width)
 	}
-	s.sc.queue = s.queue[:0] // retain grown capacity
+	s.finish()
 	return true
+}
+
+// finish ends an attempt that made decisions: the Result takes the
+// attempt's final times and alternatives — one copy per attempt, not
+// one per decision — and the scratch keeps the queue's grown capacity.
+func (s *state) finish() {
+	copy(s.res.Time, s.time)
+	copy(s.res.Alt, s.alt)
+	s.sc.queue = s.queue[:0]
 }
 
 // schedulableAlt returns the first alternative of origOp that is
@@ -360,27 +369,59 @@ func schedulableAlt(mod query.Module, origOp int) (int, bool) {
 	return -1, false
 }
 
-// push inserts v into the unscheduled set.
-func (s *state) push(v int) {
-	if !s.inQueue[v] {
-		s.inQueue[v] = true
-		s.queue = append(s.queue, v)
-	}
+// before is the scheduling priority: maximum height first, ties broken
+// by lower node index. It is a strict total order over nodes, so the
+// heap pops exactly the sequence a linear maximum scan would.
+func (s *state) before(a, b int) bool {
+	return s.height[a] > s.height[b] || (s.height[a] == s.height[b] && a < b)
 }
 
-// pop removes and returns the highest-priority unscheduled node: maximum
-// height, ties broken by lower node index (deterministic).
-func (s *state) pop() int {
-	best := 0
-	for i := 1; i < len(s.queue); i++ {
-		a, b := s.queue[i], s.queue[best]
-		if s.height[a] > s.height[b] || (s.height[a] == s.height[b] && a < b) {
-			best = i
-		}
+// push inserts v into the unscheduled set, sifting it up the heap.
+func (s *state) push(v int) {
+	if s.inQueue[v] {
+		return
 	}
-	v := s.queue[best]
-	s.queue[best] = s.queue[len(s.queue)-1]
-	s.queue = s.queue[:len(s.queue)-1]
+	s.inQueue[v] = true
+	q := append(s.queue, v)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(v, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = v
+	s.queue = q
+}
+
+// pop removes and returns the highest-priority unscheduled node (see
+// before), sifting the last entry down from the root.
+func (s *state) pop() int {
+	q := s.queue
+	v := q[0]
+	last := q[len(q)-1]
+	q = q[:len(q)-1]
+	if n := len(q); n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && s.before(q[c+1], q[c]) {
+				c++
+			}
+			if !s.before(q[c], last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	s.queue = q
 	s.inQueue[v] = false
 	return v
 }
@@ -448,9 +489,6 @@ func (s *state) place(v, t, altOp int) {
 			s.unschedule(p)
 		}
 	}
-	// Copy final times into the result on the fly (cheap; last write wins).
-	copy(s.res.Time, s.time)
-	copy(s.res.Alt, s.alt)
 }
 
 func (s *state) unschedule(q int) {

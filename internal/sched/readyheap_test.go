@@ -1,0 +1,70 @@
+package sched
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// linearPop is the linear maximum scan the ready heap replaced: it picks
+// the node of greatest height, ties to the lower index, from an unordered
+// slice.
+func linearPop(height []int, queue []int) (int, []int) {
+	best := 0
+	for i := 1; i < len(queue); i++ {
+		a, b := queue[i], queue[best]
+		if height[a] > height[b] || (height[a] == height[b] && a < b) {
+			best = i
+		}
+	}
+	v := queue[best]
+	queue[best] = queue[len(queue)-1]
+	return v, queue[:len(queue)-1]
+}
+
+// TestReadyHeapMatchesLinearPop drives the heap and the linear-scan
+// oracle through the same random interleaving of pushes (duplicates of
+// queued nodes included, which both ignore) and pops, over heights with
+// many ties, and requires the identical pop sequence.
+func TestReadyHeapMatchesLinearPop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(80)
+		height := make([]int, n)
+		levels := 1 + rng.Intn(6)
+		for v := range height {
+			height[v] = rng.Intn(levels) - 2
+		}
+		s := &state{height: height, inQueue: make([]bool, n)}
+		var oracle []int
+		inOracle := make([]bool, n)
+		for step := 0; step < 6*n; step++ {
+			if len(oracle) > 0 && rng.Intn(3) == 0 {
+				got := s.pop()
+				var want int
+				want, oracle = linearPop(height, oracle)
+				inOracle[want] = false
+				if got != want {
+					t.Fatalf("trial %d step %d: heap popped %d, linear scan %d", trial, step, got, want)
+				}
+				continue
+			}
+			v := rng.Intn(n)
+			s.push(v)
+			if !inOracle[v] {
+				inOracle[v] = true
+				oracle = append(oracle, v)
+			}
+		}
+		for len(oracle) > 0 {
+			got := s.pop()
+			var want int
+			want, oracle = linearPop(height, oracle)
+			if got != want {
+				t.Fatalf("trial %d drain: heap popped %d, linear scan %d", trial, got, want)
+			}
+		}
+		if len(s.queue) != 0 {
+			t.Fatalf("trial %d: heap holds %d nodes after the oracle drained", trial, len(s.queue))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -53,7 +54,8 @@ type BatchOp struct {
 	// "first_free_alt".
 	Lo int `json:"lo,omitempty"`
 	Hi int `json:"hi,omitempty"`
-	// ID is the instance id ("assign", "assign_free", "free").
+	// ID is the instance id ("assign", "assign_free", "free"), in
+	// [0, 2^31-1].
 	ID int `json:"id,omitempty"`
 	// Scheduler selects the "schedule" op's engine: "optimal" (default)
 	// or "ims".
@@ -565,8 +567,8 @@ func (x *opExec) exec(i int, op *BatchOp, res *opResult) *httpError {
 		if op.Op < 0 || op.Op >= len(x.e.Ops) {
 			return errf(http.StatusBadRequest, "op %d: expanded-op index %d out of range [0, %d)", i, op.Op, len(x.e.Ops))
 		}
-		if op.ID < 0 {
-			return errf(http.StatusBadRequest, "op %d: negative instance id %d", i, op.ID)
+		if herr := checkID(i, op.ID); herr != nil {
+			return herr
 		}
 		if _, used := x.live[op.ID]; used {
 			return errf(http.StatusBadRequest, "op %d: instance id %d already scheduled", i, op.ID)
@@ -580,8 +582,8 @@ func (x *opExec) exec(i int, op *BatchOp, res *opResult) *httpError {
 		if op.Op < 0 || op.Op >= len(x.e.Ops) {
 			return errf(http.StatusBadRequest, "op %d: expanded-op index %d out of range [0, %d)", i, op.Op, len(x.e.Ops))
 		}
-		if op.ID < 0 {
-			return errf(http.StatusBadRequest, "op %d: negative instance id %d", i, op.ID)
+		if herr := checkID(i, op.ID); herr != nil {
+			return herr
 		}
 		if _, used := x.live[op.ID]; used {
 			return errf(http.StatusBadRequest, "op %d: instance id %d already scheduled", i, op.ID)
@@ -603,6 +605,8 @@ func (x *opExec) exec(i int, op *BatchOp, res *opResult) *httpError {
 			return herr
 		}
 	case "free":
+		// x.live holds only ids that passed checkID, so an id outside
+		// the range is an unscheduled one here.
 		in, ok := x.live[op.ID]
 		if !ok {
 			return errf(http.StatusBadRequest, "op %d: free of unscheduled instance id %d", i, op.ID)
@@ -615,6 +619,20 @@ func (x *opExec) exec(i int, op *BatchOp, res *opResult) *httpError {
 		delete(x.live, op.ID)
 	default:
 		return errf(http.StatusBadRequest, "op %d: bad fn %q (want check, assign, assign_free, free, check_with_alt, first_free, first_free_alt or schedule)", i, op.Fn)
+	}
+	return nil
+}
+
+// checkID rejects an instance id outside [0, math.MaxInt32]: the query
+// modules keep owner fields in 32 bits (query.Module), so a wider id
+// would be truncated — a missed contention or an eviction of the wrong
+// instance.
+func checkID(i, id int) *httpError {
+	if id < 0 {
+		return errf(http.StatusBadRequest, "op %d: negative instance id %d", i, id)
+	}
+	if id > math.MaxInt32 {
+		return errf(http.StatusBadRequest, "op %d: instance id %d exceeds %d", i, id, math.MaxInt32)
 	}
 	return nil
 }

@@ -200,6 +200,10 @@ func TestBatchValidation(t *testing.T) {
 		"negative cycle":  {BatchRequest{Machine: "ex", Ops: []BatchOp{{Fn: "check", Cycle: -1}}}, http.StatusBadRequest},
 		"huge cycle":      {BatchRequest{Machine: "ex", Ops: []BatchOp{{Fn: "check", Cycle: 101}}}, http.StatusBadRequest},
 		"free unknown id": {BatchRequest{Machine: "ex", Ops: []BatchOp{{Fn: "free", ID: 5}}}, http.StatusBadRequest},
+		"wide assign id":  {BatchRequest{Machine: "ex", Ops: []BatchOp{{Fn: "assign", ID: 1 << 31}}}, http.StatusBadRequest},
+		"wide assign_free id": {BatchRequest{Machine: "ex", Ops: []BatchOp{{Fn: "assign_free", ID: 1<<32 + 5}}},
+			http.StatusBadRequest},
+		"wide free id":    {BatchRequest{Machine: "ex", Ops: []BatchOp{{Fn: "free", ID: 1 << 31}}}, http.StatusBadRequest},
 		"bad bitvector k": {BatchRequest{Machine: "ex", Representation: "bitvector", K: 500}, http.StatusBadRequest},
 		"bad word bits":   {BatchRequest{Machine: "ex", Representation: "bitvector", WordBits: 48}, http.StatusBadRequest},
 		"assign conflict": {BatchRequest{Machine: "ex", Ops: []BatchOp{

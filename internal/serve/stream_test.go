@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,6 +145,56 @@ func TestStreamErrorLineKeepsAppliedOps(t *testing.T) {
 			SessionOpsRequest{Ops: []BatchOp{{Fn: "check", Op: 0, Cycle: 0}}}))
 		if resp2.Results[0].OK == nil || *resp2.Results[0].OK {
 			t.Errorf("%s: op before stream failure was not applied", name)
+		}
+	}
+}
+
+// TestStreamInstanceIDRange pins the instance-id range on the wire: the
+// largest 32-bit id schedules and evicts normally in a batch, and a
+// wider id on assign, assign_free or free is a terminal error line in a
+// session stream, with the ops before it applied. On assign and
+// assign_free the error names the range; on free the id was never
+// scheduled, and the error says so.
+func TestStreamInstanceIDRange(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	h := s.Handler()
+
+	rec := post(t, h, "/v1/batch", BatchRequest{Machine: "ex", Ops: []BatchOp{
+		{Fn: "assign", Op: 0, Cycle: 0, ID: math.MaxInt32},
+		{Fn: "assign_free", Op: 0, Cycle: 0, ID: 5},
+	}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch at id %d: status %d: %s", math.MaxInt32, rec.Code, rec.Body.String())
+	}
+	br := decodeBody[BatchResponse](t, rec)
+	if ev := br.Results[1].Evicted; len(ev) != 1 || ev[0] != math.MaxInt32 {
+		t.Fatalf("assign_free evicted %v, want [%d]", ev, math.MaxInt32)
+	}
+
+	for fn, want := range map[string]string{"assign": "exceeds", "assign_free": "exceeds", "free": "unscheduled"} {
+		si := createSession(t, h, SessionRequest{Machine: "ex"})
+		lines := postStream(t, ts.URL, si.SessionID, []BatchOp{
+			{Fn: "assign", Op: 0, Cycle: 0, ID: 1},
+			{Fn: fn, Op: 0, Cycle: 0, ID: 1<<32 + 1},
+		})
+		var e struct {
+			Error string `json:"error"`
+			Index int    `json:"index"`
+		}
+		if len(lines) != 2 || json.Unmarshal(lines[1], &e) != nil || e.Index != 1 ||
+			!strings.Contains(e.Error, want) {
+			t.Fatalf("%s with id 2^32+1: want one result and an error line at index 1, got:\n%s", fn, bytes.Join(lines, []byte("\n")))
+		}
+		// The session still holds instance 1, and only it.
+		r := decodeBody[SessionOpsResponse](t, post(t, h, "/v1/sessions/"+si.SessionID+"/ops",
+			SessionOpsRequest{Ops: []BatchOp{{Fn: "assign_free", Op: 0, Cycle: 0, ID: 2}}}))
+		if ev := r.Results[0].Evicted; len(ev) != 1 || ev[0] != 1 {
+			t.Fatalf("%s: after the rejected op, assign_free evicted %v, want [1]", fn, ev)
 		}
 	}
 }
