@@ -112,7 +112,9 @@ profile:
 # Brief runs of the native fuzz targets. FuzzReducePreservesF fuzzes the
 # paper's theorem (reduction preserves the forbidden-latency matrix);
 # FuzzServeBatchDecode pins that no bytes on the wire can panic or 5xx
-# the batch endpoint. Kept out of `make test` so `go test ./...` stays
+# the batch endpoint; FuzzInstTable checks the query modules' instance
+# table against a map on decoded put/take/lookup/clear sequences. Kept
+# out of `make test` so `go test ./...` stays
 # fast; corpus regressions in testdata/ still run there.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReducePreservesF$$' -fuzztime $(FUZZTIME) ./internal/core/
@@ -120,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeSessionStream$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimalNeverInvalid$$' -fuzztime $(FUZZTIME) ./internal/sched/
+	$(GO) test -run '^$$' -fuzz '^FuzzInstTable$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/mdl/
 
 # End-to-end daemon smoke: build cmd/mdserve, boot it on an ephemeral

@@ -62,6 +62,16 @@ func (p *WorkerPanic) Unwrap() error {
 	return nil
 }
 
+// NewWorkerPanic wraps a recovered panic value with the calling
+// goroutine's stack. Call it from the worker's recover handler, where
+// the stack still holds the frames between the panic site and the
+// recover.
+func NewWorkerPanic(value any) *WorkerPanic {
+	buf := make([]byte, 64<<10)
+	buf = buf[:runtime.Stack(buf, false)]
+	return &WorkerPanic{Value: value, Stack: string(buf)}
+}
+
 // ForEach runs fn(i) for every i in [0, n), fanning calls across at most
 // workers goroutines with work stealing (an atomic index, so uneven item
 // costs balance). workers <= 1 runs serially in index order on the
@@ -92,9 +102,7 @@ func ForEach(n, workers int, fn func(i int)) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					buf := make([]byte, 64<<10)
-					buf = buf[:runtime.Stack(buf, false)]
-					firstPanic.CompareAndSwap(nil, &WorkerPanic{Value: p, Stack: string(buf)})
+					firstPanic.CompareAndSwap(nil, NewWorkerPanic(p))
 				}
 			}()
 			done := int64(0)
@@ -184,9 +192,7 @@ func ForEachState[S any](n, workers int, newState func() S, fn func(st S, i int)
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					buf := make([]byte, 64<<10)
-					buf = buf[:runtime.Stack(buf, false)]
-					firstPanic.CompareAndSwap(nil, &WorkerPanic{Value: p, Stack: string(buf)})
+					firstPanic.CompareAndSwap(nil, NewWorkerPanic(p))
 				}
 			}()
 			st := newState()

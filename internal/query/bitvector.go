@@ -72,7 +72,7 @@ type Bitvector struct {
 	rowW       int
 	altVerdict []uint64
 
-	inst       map[int]instance
+	inst       instTable
 	updateMode bool
 	owners     []int32
 	ownerWidth int
@@ -116,7 +116,6 @@ func NewBitvector(e *resmodel.Expanded, k, wordBits, ii int) (*Bitvector, error)
 	b := &Bitvector{
 		e: e, c: compileFor(e, ii), ii: ii, nRes: nRes, k: k, wordBits: wordBits,
 		cycMask: uint64(1)<<uint(nRes) - 1,
-		inst:    map[int]instance{},
 		met:     newModuleObs("bitvector"),
 	}
 	pt := b.c.packsFor(nRes, k)
@@ -395,9 +394,9 @@ func (b *Bitvector) Assign(op, cycle, id int) {
 	b.mustSchedulable(op)
 	w0 := b.ctr.AssignWork
 	b.orTable(op, cycle, &b.ctr.AssignWork)
-	b.inst[id] = instance{op, cycle}
+	b.inst.put(id, op, cycle)
 	if b.updateMode {
-		b.setOwners(op, cycle, int32(id))
+		b.claimOwners(op, cycle, int32(id), b.inst.seq)
 	}
 	b.met.OnAssign(b.ctr.AssignWork - w0)
 }
@@ -448,7 +447,7 @@ func (b *Bitvector) Free(op, cycle, id int) {
 	b.ctr.FreeCalls++
 	w0 := b.ctr.FreeWork
 	b.andNotTable(op, cycle, &b.ctr.FreeWork)
-	delete(b.inst, id)
+	b.inst.take(id)
 	b.met.OnFree(b.ctr.FreeWork - w0)
 }
 
@@ -459,7 +458,7 @@ func (b *Bitvector) AssignFree(op, cycle, id int) []int {
 	w0 := b.ctr.AssignFreeWork
 	if !b.updateMode {
 		if b.optimisticAssign(op, cycle) {
-			b.inst[id] = instance{op, cycle}
+			b.inst.put(id, op, cycle)
 			b.met.OnAssignFree(b.ctr.AssignFreeWork-w0, 0)
 			return nil
 		}
@@ -469,7 +468,7 @@ func (b *Bitvector) AssignFree(op, cycle, id int) []int {
 		b.enterUpdateMode()
 	}
 	evicted := b.updateAssignFree(op, cycle, id)
-	b.inst[id] = instance{op, cycle}
+	b.inst.put(id, op, cycle)
 	b.ctr.Unscheduled += int64(len(evicted))
 	if len(evicted) > 0 {
 		b.ctr.AssignFreeEvicting++
@@ -534,13 +533,16 @@ func (b *Bitvector) optimisticAssign(op, cycle int) bool {
 // charged to the AssignFree that triggered the transition.
 func (b *Bitvector) enterUpdateMode() {
 	b.updateMode = true
+	slots := b.inst.slots
 	if b.ii > 0 {
 		b.ownerWidth = b.ii
 	} else {
 		need := 16
-		for _, in := range b.inst {
-			if end := in.cycle + b.c.spans[in.op]; end > need {
-				need = end
+		for i := range slots {
+			if s := &slots[i]; s.key != 0 {
+				if end := s.cycle + b.c.spans[s.op]; end > need {
+					need = end
+				}
 			}
 		}
 		b.ownerWidth = need
@@ -553,9 +555,38 @@ func (b *Bitvector) enterUpdateMode() {
 	for i := range b.owners {
 		b.owners[i] = -1
 	}
-	for id, in := range b.inst {
-		b.ctr.AssignFreeWork += int64(len(b.c.uses[in.op]))
-		b.setOwners(in.op, in.cycle, int32(id))
+	for i := range slots {
+		if s := &slots[i]; s.key != 0 {
+			b.ctr.AssignFreeWork += int64(len(b.c.uses[s.op]))
+			b.claimOwners(int(s.op), s.cycle, int32(s.id()), s.seq)
+		}
+	}
+}
+
+// claimOwners writes id, stamped seq by the instance table, into the
+// owner cells of op at cycle, except where a later assignment (a
+// higher stamp) already owns one; a cell left to an instance no longer
+// live is claimed. So where overlapping unchecked Assigns share a
+// cell, the last one owns it whatever order the update-mode rebuild
+// walks the table in — as Discrete's overwriting Assign leaves it —
+// and an eviction never depends on the table's layout. Schedulers
+// never overlap instances, so the rebuild's claims find their cells
+// unowned.
+func (b *Bitvector) claimOwners(op, cycle int, id int32, seq uint64) {
+	jm := 0
+	if b.ii > 0 {
+		jm = b.modCycle(cycle)
+	}
+	for _, u := range b.c.uses[op] {
+		var cell *int32
+		if b.ii > 0 {
+			cell = &b.owners[u.Resource*b.ii+b.wrap(jm+u.Cycle)]
+		} else {
+			cell = b.ownerCell(u.Resource, cycle+u.Cycle)
+		}
+		if *cell < 0 || b.inst.seqOf(int(*cell)) < seq {
+			*cell = id
+		}
 	}
 }
 
@@ -598,19 +629,6 @@ func (b *Bitvector) ownerCell(r, cycle int) *int32 {
 		}
 	}
 	return &b.owners[r*b.ownerWidth+cycle]
-}
-
-func (b *Bitvector) setOwners(op, cycle int, id int32) {
-	if b.ii > 0 {
-		jm := b.modCycle(cycle)
-		for _, u := range b.c.uses[op] {
-			b.owners[u.Resource*b.ii+b.wrap(jm+u.Cycle)] = id
-		}
-		return
-	}
-	for _, u := range b.c.uses[op] {
-		*b.ownerCell(u.Resource, cycle+u.Cycle) = id
-	}
 }
 
 // updateAssignFree is the usage-by-usage assign&free of update mode. The
@@ -660,7 +678,7 @@ func (b *Bitvector) updateAssignFree(op, cycle, id int) []int {
 // evict unschedules a conflicting instance usage by usage (update mode
 // only); the work is charged to the enclosing AssignFree.
 func (b *Bitvector) evict(id int) {
-	in, ok := b.inst[id]
+	in, ok := b.inst.take(id)
 	if !ok {
 		panic(fmt.Sprintf("query: evicting unknown instance %d", id))
 	}
@@ -674,7 +692,6 @@ func (b *Bitvector) evict(id int) {
 				b.andNotCycle(t, 1<<uint(u.Resource))
 			}
 		}
-		delete(b.inst, id)
 		return
 	}
 	for _, u := range b.c.uses[in.op] {
@@ -686,7 +703,6 @@ func (b *Bitvector) evict(id int) {
 			b.clearBit(u.Resource, t)
 		}
 	}
-	delete(b.inst, id)
 }
 
 // reservedBit reads the reserved flag of resource r at cycle (any cycle
@@ -734,7 +750,7 @@ func (b *Bitvector) CheckWithAlt(origOp, cycle int) (int, bool) {
 func (b *Bitvector) Counters() *Counters { return &b.ctr }
 
 // Reset implements Module. It clears in place and keeps every backing
-// buffer — the instance map's buckets, the owner grid's capacity, the
+// buffer — the instance table's slots, the owner grid's capacity, the
 // grown reserved table — so an arena-held module resets without
 // allocating (pinned by TestResetDoesNotAllocate).
 func (b *Bitvector) Reset() {
@@ -753,7 +769,7 @@ func (b *Bitvector) Reset() {
 	for i := range b.rows {
 		b.rows[i] = 0
 	}
-	clear(b.inst)
+	b.inst.clear()
 	b.updateMode = false
 	b.owners = b.owners[:0]
 	b.ownerWidth = 0
@@ -761,7 +777,7 @@ func (b *Bitvector) Reset() {
 }
 
 // Scheduled returns the number of currently scheduled instances.
-func (b *Bitvector) Scheduled() int { return len(b.inst) }
+func (b *Bitvector) Scheduled() int { return b.inst.len() }
 
 var _ Module = (*Bitvector)(nil)
 

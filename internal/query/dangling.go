@@ -34,7 +34,7 @@ func (d *Discrete) SeedDangling(ds []Dangling) error {
 	if d.ii > 0 {
 		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
 	}
-	if len(d.inst) > 0 {
+	if d.inst.len() > 0 {
 		return fmt.Errorf("query: SeedDangling on a non-empty schedule")
 	}
 	for _, dg := range ds {
@@ -53,7 +53,7 @@ func (d *Discrete) SeedDangling(ds []Dangling) error {
 			}
 			*c = int32(dg.ID)
 		}
-		d.inst[dg.ID] = instance{dg.Op, dg.IssueCycle}
+		d.inst.put(dg.ID, dg.Op, dg.IssueCycle)
 	}
 	return nil
 }
@@ -68,7 +68,7 @@ func (b *Bitvector) SeedDangling(ds []Dangling) error {
 	if b.ii > 0 {
 		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
 	}
-	if len(b.inst) > 0 {
+	if b.inst.len() > 0 {
 		return fmt.Errorf("query: SeedDangling on a non-empty schedule")
 	}
 	owner := make(map[[2]int]int) // (resource, cycle) -> seeding instance id
@@ -91,7 +91,7 @@ func (b *Bitvector) SeedDangling(ds []Dangling) error {
 			b.setBit(u.Resource, t)
 			owner[[2]int{u.Resource, t}] = dg.ID
 		}
-		b.inst[dg.ID] = instance{dg.Op, dg.IssueCycle}
+		b.inst.put(dg.ID, dg.Op, dg.IssueCycle)
 	}
 	return nil
 }
@@ -108,7 +108,7 @@ func (d *Discrete) SeedDanglingUnion(ds []Dangling) error {
 	if d.ii > 0 {
 		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
 	}
-	if len(d.inst) > 0 {
+	if d.inst.len() > 0 {
 		return fmt.Errorf("query: SeedDanglingUnion on a non-empty schedule")
 	}
 	for _, dg := range ds {
@@ -125,7 +125,7 @@ func (d *Discrete) SeedDanglingUnion(ds []Dangling) error {
 				*c = int32(dg.ID)
 			}
 		}
-		d.inst[dg.ID] = instance{dg.Op, dg.IssueCycle}
+		d.inst.put(dg.ID, dg.Op, dg.IssueCycle)
 	}
 	return nil
 }
@@ -138,7 +138,7 @@ func (b *Bitvector) SeedDanglingUnion(ds []Dangling) error {
 	if b.ii > 0 {
 		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
 	}
-	if len(b.inst) > 0 {
+	if b.inst.len() > 0 {
 		return fmt.Errorf("query: SeedDanglingUnion on a non-empty schedule")
 	}
 	for _, dg := range ds {
@@ -152,7 +152,7 @@ func (b *Bitvector) SeedDanglingUnion(ds []Dangling) error {
 			}
 			b.setBit(u.Resource, t)
 		}
-		b.inst[dg.ID] = instance{dg.Op, dg.IssueCycle}
+		b.inst.put(dg.ID, dg.Op, dg.IssueCycle)
 	}
 	return nil
 }
@@ -174,19 +174,11 @@ func DanglingFrom(instances map[int]struct{ Op, Cycle int }, span func(op int) i
 // Instances returns the currently scheduled instances of a discrete
 // module (id -> op, cycle), for boundary-condition extraction.
 func (d *Discrete) Instances() map[int]struct{ Op, Cycle int } {
-	out := make(map[int]struct{ Op, Cycle int }, len(d.inst))
-	for id, in := range d.inst {
-		out[id] = struct{ Op, Cycle int }{in.op, in.cycle}
-	}
-	return out
+	return d.inst.export()
 }
 
 // Instances returns the currently scheduled instances of a bitvector
 // module.
 func (b *Bitvector) Instances() map[int]struct{ Op, Cycle int } {
-	out := make(map[int]struct{ Op, Cycle int }, len(b.inst))
-	for id, in := range b.inst {
-		out[id] = struct{ Op, Cycle int }{in.op, in.cycle}
-	}
-	return out
+	return b.inst.export()
 }

@@ -17,7 +17,7 @@ type Discrete struct {
 	nRes  int
 	cells []int32 // cells[r*width + col] = instance id or -1
 	width int
-	inst  map[int]instance
+	inst  instTable
 	// evictScratch backs the slice AssignFree returns, reused across
 	// calls so steady-state eviction allocates nothing.
 	evictScratch []int
@@ -32,7 +32,7 @@ func NewDiscrete(e *resmodel.Expanded, ii int) *Discrete {
 	if ii < 0 {
 		panic(fmt.Sprintf("query: NewDiscrete: negative II %d", ii))
 	}
-	d := &Discrete{e: e, c: compileFor(e, ii), ii: ii, nRes: len(e.Resources), inst: map[int]instance{},
+	d := &Discrete{e: e, c: compileFor(e, ii), ii: ii, nRes: len(e.Resources),
 		met: newModuleObs("discrete")}
 	if ii > 0 {
 		d.width = ii
@@ -125,7 +125,7 @@ func (d *Discrete) Assign(op, cycle, id int) {
 		d.ctr.AssignWork++
 		*d.cell(u.Resource, cycle+u.Cycle) = int32(id)
 	}
-	d.inst[id] = instance{op, cycle}
+	d.inst.put(id, op, cycle)
 	d.met.OnAssign(d.ctr.AssignWork - w0)
 }
 
@@ -147,7 +147,7 @@ func (d *Discrete) AssignFree(op, cycle, id int) []int {
 		*c = int32(id)
 	}
 	d.evictScratch = evicted
-	d.inst[id] = instance{op, cycle}
+	d.inst.put(id, op, cycle)
 	d.ctr.Unscheduled += int64(len(evicted))
 	if len(evicted) > 0 {
 		d.ctr.AssignFreeEvicting++
@@ -166,7 +166,7 @@ func (d *Discrete) mustSchedulable(op int) {
 // evict releases all cells of a conflicting instance (internal: its work
 // is charged to the enclosing AssignFree, per Section 8).
 func (d *Discrete) evict(id int) {
-	in, ok := d.inst[id]
+	in, ok := d.inst.take(id)
 	if !ok {
 		panic(fmt.Sprintf("query: evicting unknown instance %d", id))
 	}
@@ -177,7 +177,6 @@ func (d *Discrete) evict(id int) {
 			*c = -1
 		}
 	}
-	delete(d.inst, id)
 }
 
 // Free implements Module.
@@ -191,7 +190,7 @@ func (d *Discrete) Free(op, cycle, id int) {
 			*c = -1
 		}
 	}
-	delete(d.inst, id)
+	d.inst.take(id)
 	d.met.OnFree(d.ctr.FreeWork - w0)
 }
 
@@ -206,18 +205,18 @@ func (d *Discrete) CheckWithAlt(origOp, cycle int) (int, bool) {
 func (d *Discrete) Counters() *Counters { return &d.ctr }
 
 // Reset implements Module. Like Bitvector.Reset it clears in place —
-// the cell grid keeps its grown width and the instance map its buckets
+// the cell grid keeps its grown width and the instance table its slots
 // — so an arena-held module resets without allocating.
 func (d *Discrete) Reset() {
 	for i := range d.cells {
 		d.cells[i] = -1
 	}
-	clear(d.inst)
+	d.inst.clear()
 	d.ctr.Reset()
 }
 
 // Scheduled returns the number of currently scheduled instances.
-func (d *Discrete) Scheduled() int { return len(d.inst) }
+func (d *Discrete) Scheduled() int { return d.inst.len() }
 
 var _ Module = (*Discrete)(nil)
 

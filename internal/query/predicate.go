@@ -59,7 +59,7 @@ type Predicated struct {
 	nRes  int
 	width int
 	cells [][]predEntry
-	inst  map[int]instance
+	inst  instTable
 	ctr   Counters
 }
 
@@ -68,7 +68,7 @@ func NewPredicated(e *resmodel.Expanded, ps *PredSet, ii int) *Predicated {
 	if ii < 0 {
 		panic("query: negative II")
 	}
-	p := &Predicated{e: e, c: compileFor(e, ii), ps: ps, ii: ii, nRes: len(e.Resources), inst: map[int]instance{}}
+	p := &Predicated{e: e, c: compileFor(e, ii), ps: ps, ii: ii, nRes: len(e.Resources)}
 	if ii > 0 {
 		p.width = ii
 	} else {
@@ -139,7 +139,7 @@ func (p *Predicated) Assign(op, cycle, pred, id int) {
 		c := p.cell(u.Resource, cycle+u.Cycle)
 		*c = append(*c, predEntry{id: int32(id), pred: int32(pred)})
 	}
-	p.inst[id] = instance{op, cycle}
+	p.inst.put(id, op, cycle)
 }
 
 // Free releases instance id's reservations.
@@ -156,11 +156,11 @@ func (p *Predicated) Free(op, cycle, id int) {
 		}
 		*c = out
 	}
-	delete(p.inst, id)
+	p.inst.take(id)
 }
 
 // Counters returns the work-unit accounting.
 func (p *Predicated) Counters() *Counters { return &p.ctr }
 
 // Scheduled returns the number of scheduled instances.
-func (p *Predicated) Scheduled() int { return len(p.inst) }
+func (p *Predicated) Scheduled() int { return p.inst.len() }

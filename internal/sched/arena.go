@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/ddg"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -159,89 +162,100 @@ type StreamStats struct {
 // ScheduleStream schedules loops pulled from next until it reports
 // ok=false, through per-worker arenas, retaining nothing per loop —
 // the flat-memory path for 10^5..10^6-loop corpora (loopgen.Stream is
-// the intended source). next is called only from this goroutine, so an
-// unsynchronized generator is fine; chunk bounds how many loops are in
-// flight at once per buffer (<= 0 selects a default). Failed loops are
-// counted, not fatal.
+// the intended source). Failed loops are counted, not fatal.
 //
-// The chunks are double-buffered: while the workers schedule one chunk,
-// this goroutine generates the next, so the pipeline's wall time
-// approaches max(generation, scheduling) instead of their sum — the
-// CPU profile of the 100k-loop throughput benchmark showed ~20% of the
-// pipeline in corpus generation (math/rand reseeding per loop), all of
-// it previously serialized between scheduling bursts. Results, stats
-// and counters are identical to the strictly alternating pipeline: the
-// same loops reach the same arena pool in the same chunk order, and at
-// most one extra chunk is in flight.
+// The stream is a pipeline. One generator goroutine is the only caller
+// of next, so an unsynchronized generator is fine, and it never calls
+// next again after ok=false. It feeds a channel of capacity chunk
+// (<= 0 selects 64); workers goroutines, each with its own arena,
+// drain the channel and sum their statistics. Scheduling starts with
+// the first loop, and the wall time approaches max(generation,
+// scheduling) instead of their sum. At most chunk loops wait in the
+// channel, plus one per worker and one held by the generator. Every
+// statistic and counter is a sum, so the totals equal per-loop
+// Schedule calls however the loops are spread over the workers.
+//
+// A panic in next or while scheduling a loop stops the generator and
+// the workers, and re-panics on the caller as a *parallel.WorkerPanic
+// carrying the panicking goroutine's stack; no goroutine outlives the
+// call.
 func ScheduleStream(next func() (*ddg.Graph, bool), m *resmodel.Machine, factory ModuleFactory, cfg Config, workers, chunk int) StreamStats {
 	workers = parallel.Workers(workers)
 	if chunk <= 0 {
-		chunk = 256
+		// Generation outpaces scheduling, so the channel stays full:
+		// the buffer only absorbs the generator's stalls, and every
+		// loop in it is live heap.
+		chunk = 64
 	}
-	type streamWorker struct {
-		a     *Arena
-		res   Result
-		stats StreamStats
+	loops := make(chan *ddg.Graph, chunk)
+	stop := make(chan struct{})
+	var firstPanic atomic.Pointer[parallel.WorkerPanic]
+	var stopOnce sync.Once
+	catch := func() {
+		if p := recover(); p != nil {
+			firstPanic.CompareAndSwap(nil, parallel.NewWorkerPanic(p))
+			stopOnce.Do(func() { close(stop) })
+		}
 	}
-	// parallel.ForEachState builds fresh state per call, so the arenas
-	// live in a free-list the per-chunk workers borrow from: any chunk's
-	// worker goroutine continues whichever arena it draws.
-	pool := make(chan *streamWorker, workers)
-	for w := 0; w < workers; w++ {
-		pool <- &streamWorker{a: NewArena(factory)}
-	}
-	fill := func(buf []*ddg.Graph) []*ddg.Graph {
-		for len(buf) < chunk {
+	var wg sync.WaitGroup
+	wg.Add(1 + workers)
+	go func() {
+		defer wg.Done()
+		defer close(loops)
+		defer catch()
+		for {
 			g, ok := next()
 			if !ok {
-				break
+				return
 			}
-			buf = append(buf, g)
+			select {
+			case loops <- g:
+			case <-stop:
+				return
+			}
 		}
-		return buf
-	}
-	cur := fill(make([]*ddg.Graph, 0, chunk))
-	spare := make([]*ddg.Graph, 0, chunk)
-	for len(cur) > 0 {
-		buf := cur
-		done := make(chan struct{})
+	}()
+	stats := make([]StreamStats, workers)
+	for w := range stats {
 		go func() {
-			parallel.ForEach(len(buf), workers, func(i int) {
-				w := <-pool
-				w.a.ScheduleInto(&w.res, buf[i], m, cfg)
-				w.stats.Loops++
-				if w.res.OK {
-					w.stats.SumII += int64(w.res.II)
-				} else {
-					w.stats.Failed++
+			defer wg.Done()
+			defer catch()
+			a := NewArena(factory)
+			var res Result
+			var st StreamStats
+			for g := range loops {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				w.stats.SumMII += int64(w.res.MII)
-				w.stats.Decisions += int64(w.res.Decisions)
-				buf[i] = nil // the schedule is consumed; let the loop go
-				pool <- w
-			})
-			close(done)
+				a.ScheduleInto(&res, g, m, cfg)
+				st.Loops++
+				if res.OK {
+					st.SumII += int64(res.II)
+				} else {
+					st.Failed++
+				}
+				st.SumMII += int64(res.MII)
+				st.Decisions += int64(res.Decisions)
+			}
+			st.Counters = a.Counters()
+			stats[w] = st
 		}()
-		spare = spare[:0]
-		if len(cur) == chunk {
-			// A full chunk may not be the last; overlap the next fill
-			// with the in-flight scheduling. A short chunk means the
-			// generator is exhausted — don't call next again after false.
-			spare = fill(spare)
-		}
-		<-done
-		cur, spare = spare, cur
+	}
+	wg.Wait()
+	if p := firstPanic.Load(); p != nil {
+		panic(p)
 	}
 	var total StreamStats
-	for w := 0; w < workers; w++ {
-		wk := <-pool
-		total.Loops += wk.stats.Loops
-		total.Failed += wk.stats.Failed
-		total.Decisions += wk.stats.Decisions
-		total.SumII += wk.stats.SumII
-		total.SumMII += wk.stats.SumMII
-		c := wk.a.Counters()
-		total.Counters.AddFrom(&c)
+	for i := range stats {
+		st := &stats[i]
+		total.Loops += st.Loops
+		total.Failed += st.Failed
+		total.Decisions += st.Decisions
+		total.SumII += st.SumII
+		total.SumMII += st.SumMII
+		total.Counters.AddFrom(&st.Counters)
 	}
 	return total
 }

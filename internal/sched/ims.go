@@ -17,6 +17,8 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/ddg"
 	"repro/internal/forbidden"
@@ -169,8 +171,10 @@ type schedScratch struct {
 	alt          []int
 	prevTime     []int
 	everSched    []bool
-	inQueue      []bool
-	queue        []int
+	keys         []uint64
+	order        []int32
+	rank         []int32
+	ready        []uint64
 }
 
 func intsZero(b []int, n int) []int {
@@ -275,8 +279,18 @@ type state struct {
 	alt       []int
 	prevTime  []int
 	everSched []bool
-	inQueue   []bool
-	queue     []int // unscheduled nodes: a binary heap in priority order (before)
+
+	// The unscheduled set is a bitset over priority ranks: order[r] is
+	// the node of rank r (height descending, then node index — one
+	// strict total order, fixed per attempt) and rank inverts it, so
+	// push sets bit rank[v] and pop takes the lowest set bit, popping
+	// exactly the sequence a linear maximum scan would. lo is a lower
+	// bound on the lowest non-zero word.
+	order  []int32
+	rank   []int32
+	ready  []uint64
+	nready int
+	lo     int
 }
 
 // attempt runs one iterative-scheduling attempt at the given II.
@@ -303,17 +317,16 @@ func (s *state) attempt(ii int, mod query.Module) bool {
 	sc.alt = intsZero(sc.alt, n)
 	sc.prevTime = intsZero(sc.prevTime, n)
 	sc.everSched = boolsZero(sc.everSched, n)
-	sc.inQueue = boolsZero(sc.inQueue, n)
 	s.height, s.time, s.alt, s.prevTime = sc.height, sc.time, sc.alt, sc.prevTime
-	s.everSched, s.inQueue = sc.everSched, sc.inQueue
-	s.queue = sc.queue[:0]
+	s.everSched = sc.everSched
+	s.rankNodes()
 	for v := 0; v < n; v++ {
 		s.time[v] = -1
 		s.push(v)
 	}
 
 	budget := s.cfg.BudgetRatio * n
-	for len(s.queue) > 0 {
+	for s.nready > 0 {
 		if budget <= 0 {
 			s.res.BudgetExceeded++
 			s.finish()
@@ -348,11 +361,10 @@ func (s *state) attempt(ii int, mod query.Module) bool {
 
 // finish ends an attempt that made decisions: the Result takes the
 // attempt's final times and alternatives — one copy per attempt, not
-// one per decision — and the scratch keeps the queue's grown capacity.
+// one per decision.
 func (s *state) finish() {
 	copy(s.res.Time, s.time)
 	copy(s.res.Alt, s.alt)
-	s.sc.queue = s.queue[:0]
 }
 
 // schedulableAlt returns the first alternative of origOp that is
@@ -369,61 +381,61 @@ func schedulableAlt(mod query.Module, origOp int) (int, bool) {
 	return -1, false
 }
 
-// before is the scheduling priority: maximum height first, ties broken
-// by lower node index. It is a strict total order over nodes, so the
-// heap pops exactly the sequence a linear maximum scan would.
-func (s *state) before(a, b int) bool {
-	return s.height[a] > s.height[b] || (s.height[a] == s.height[b] && a < b)
+// rankNodes fixes the attempt's priority order: maximum height first,
+// ties broken by lower node index. Each node becomes one packed key,
+// the order-reversed height above the node index, so one slices.Sort
+// of plain integers yields the order with no comparator; the ready
+// bitset is sized and emptied for it.
+func (s *state) rankNodes() {
+	sc := s.sc
+	n := len(s.height)
+	sc.keys = slices.Grow(sc.keys[:0], n)
+	for v, h := range s.height {
+		// Flipping the sign bit maps int32 order onto uint32 order;
+		// complementing then reverses it, so greater heights sort first.
+		desc := ^(uint32(int32(h)) ^ 1<<31)
+		sc.keys = append(sc.keys, uint64(desc)<<32|uint64(v))
+	}
+	slices.Sort(sc.keys)
+	sc.order = slices.Grow(sc.order[:0], n)[:n]
+	sc.rank = slices.Grow(sc.rank[:0], n)[:n]
+	for r, k := range sc.keys {
+		v := int32(uint32(k))
+		sc.order[r] = v
+		sc.rank[v] = int32(r)
+	}
+	words := (n + 63) / 64
+	sc.ready = slices.Grow(sc.ready[:0], words)[:words]
+	clear(sc.ready)
+	s.order, s.rank, s.ready, s.nready, s.lo = sc.order, sc.rank, sc.ready, 0, 0
 }
 
-// push inserts v into the unscheduled set, sifting it up the heap.
+// push inserts v into the unscheduled set; pushing a queued node is a
+// no-op.
 func (s *state) push(v int) {
-	if s.inQueue[v] {
+	r := s.rank[v]
+	w, bit := int(r>>6), uint64(1)<<uint(r&63)
+	if s.ready[w]&bit != 0 {
 		return
 	}
-	s.inQueue[v] = true
-	q := append(s.queue, v)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.before(v, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
+	s.ready[w] |= bit
+	s.nready++
+	if w < s.lo {
+		s.lo = w
 	}
-	q[i] = v
-	s.queue = q
 }
 
-// pop removes and returns the highest-priority unscheduled node (see
-// before), sifting the last entry down from the root.
+// pop removes and returns the highest-priority unscheduled node: the
+// node of the lowest set rank. The set must be non-empty.
 func (s *state) pop() int {
-	q := s.queue
-	v := q[0]
-	last := q[len(q)-1]
-	q = q[:len(q)-1]
-	if n := len(q); n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && s.before(q[c+1], q[c]) {
-				c++
-			}
-			if !s.before(q[c], last) {
-				break
-			}
-			q[i] = q[c]
-			i = c
-		}
-		q[i] = last
+	for s.ready[s.lo] == 0 {
+		s.lo++
 	}
-	s.queue = q
-	s.inQueue[v] = false
-	return v
+	word := s.ready[s.lo]
+	r := s.lo<<6 | bits.TrailingZeros64(word)
+	s.ready[s.lo] = word & (word - 1)
+	s.nready--
+	return int(s.order[r])
 }
 
 // earlyStart computes the earliest legal issue time of v with respect to

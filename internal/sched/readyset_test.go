@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// linearPop is the linear maximum scan the ready heap replaced: it picks
+// linearPop is the linear maximum scan the ready set replaced: it picks
 // the node of greatest height, ties to the lower index, from an unordered
 // slice.
 func linearPop(height []int, queue []int) (int, []int) {
@@ -21,20 +21,23 @@ func linearPop(height []int, queue []int) (int, []int) {
 	return v, queue[:len(queue)-1]
 }
 
-// TestReadyHeapMatchesLinearPop drives the heap and the linear-scan
-// oracle through the same random interleaving of pushes (duplicates of
-// queued nodes included, which both ignore) and pops, over heights with
-// many ties, and requires the identical pop sequence.
-func TestReadyHeapMatchesLinearPop(t *testing.T) {
+// TestReadySetMatchesLinearPop drives the rank-bitset ready set and the
+// linear-scan oracle through the same random interleaving of pushes
+// (duplicates of queued nodes included, which both ignore) and pops,
+// over heights with many ties and negative values and node counts that
+// cross 64-bit word boundaries, and requires the identical pop sequence.
+func TestReadySetMatchesLinearPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	s := &state{sc: &schedScratch{}}
 	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(80)
+		n := 1 + rng.Intn(200)
 		height := make([]int, n)
 		levels := 1 + rng.Intn(6)
 		for v := range height {
 			height[v] = rng.Intn(levels) - 2
 		}
-		s := &state{height: height, inQueue: make([]bool, n)}
+		s.height = height
+		s.rankNodes() // reuses the previous trial's scratch
 		var oracle []int
 		inOracle := make([]bool, n)
 		for step := 0; step < 6*n; step++ {
@@ -44,7 +47,7 @@ func TestReadyHeapMatchesLinearPop(t *testing.T) {
 				want, oracle = linearPop(height, oracle)
 				inOracle[want] = false
 				if got != want {
-					t.Fatalf("trial %d step %d: heap popped %d, linear scan %d", trial, step, got, want)
+					t.Fatalf("trial %d step %d: ready set popped %d, linear scan %d", trial, step, got, want)
 				}
 				continue
 			}
@@ -60,11 +63,11 @@ func TestReadyHeapMatchesLinearPop(t *testing.T) {
 			var want int
 			want, oracle = linearPop(height, oracle)
 			if got != want {
-				t.Fatalf("trial %d drain: heap popped %d, linear scan %d", trial, got, want)
+				t.Fatalf("trial %d drain: ready set popped %d, linear scan %d", trial, got, want)
 			}
 		}
-		if len(s.queue) != 0 {
-			t.Fatalf("trial %d: heap holds %d nodes after the oracle drained", trial, len(s.queue))
+		if s.nready != 0 {
+			t.Fatalf("trial %d: ready set holds %d nodes after the oracle drained", trial, s.nready)
 		}
 	}
 }

@@ -147,3 +147,56 @@ func assertBadRepresentation(t *testing.T, rec *httptest.ResponseRecorder, what 
 		t.Errorf("%s: status %d, want 400 naming discrete, bitvector or auto (%s)", what, rec.Code, rec.Body.String())
 	}
 }
+
+// TestBatchBitvectorEvictionsStable sends one batch of packed assigns
+// and conflicting assign_frees (the first one moves the module into
+// update mode, which rebuilds its owner fields from the scheduled
+// instances) to the bitvector backend 100 times, linear and modulo:
+// every answer must be byte-identical and equal the discrete backend's.
+// An answer that followed the instance table's layout would vary.
+func TestBatchBitvectorEvictionsStable(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	e := s.lookup("ex").expandedFor("reduced")
+	for _, ii := range []int{0, 9} {
+		// Pack op 0 greedily, then evict with assign_frees that straddle
+		// several placements.
+		d := query.NewDiscrete(e, ii)
+		var ops []BatchOp
+		for id, cycle := 1, 0; id <= 8; id++ {
+			for !d.Check(0, cycle) {
+				cycle++
+			}
+			d.Assign(0, cycle, id)
+			ops = append(ops, BatchOp{Fn: "assign", Op: 0, Cycle: cycle, ID: id})
+		}
+		ops = append(ops,
+			BatchOp{Fn: "assign_free", Op: 0, Cycle: 1, ID: 100},
+			BatchOp{Fn: "assign_free", Op: 1, Cycle: 2, ID: 101},
+			BatchOp{Fn: "check", Op: 0, Cycle: 3},
+			BatchOp{Fn: "first_free", Op: 0, Lo: 0, Hi: 30})
+		answer := func(rep string) string {
+			rec := post(t, h, "/v1/batch", BatchRequest{Machine: "ex", Representation: rep, II: ii, Ops: ops})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s ii=%d: status %d: %s", rep, ii, rec.Code, rec.Body.String())
+			}
+			raw, err := json.Marshal(decodeBody[BatchResponse](t, rec).Results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(raw)
+		}
+		want := answer("discrete")
+		if !strings.Contains(want, "evicted") {
+			t.Fatalf("ii=%d: the batch evicts nothing, so it pins nothing: %s", ii, want)
+		}
+		for run := 0; run < 100; run++ {
+			if got := answer("bitvector"); got != want {
+				t.Fatalf("ii=%d run %d: bitvector answers differ from discrete\ngot:  %s\nwant: %s", ii, run, got, want)
+			}
+		}
+	}
+}
