@@ -113,7 +113,9 @@ profile:
 # paper's theorem (reduction preserves the forbidden-latency matrix);
 # FuzzServeBatchDecode pins that no bytes on the wire can panic or 5xx
 # the batch endpoint; FuzzInstTable checks the query modules' instance
-# table against a map on decoded put/take/lookup/clear sequences. Kept
+# table against a map on decoded put/take/lookup/clear sequences;
+# FuzzModulesAgree runs decoded call sequences, dangling seeds included,
+# on Discrete and Bitvector and requires equal answers and evictions. Kept
 # out of `make test` so `go test ./...` stays
 # fast; corpus regressions in testdata/ still run there.
 fuzz-smoke:
@@ -123,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeSessionStream$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimalNeverInvalid$$' -fuzztime $(FUZZTIME) ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzInstTable$$' -fuzztime $(FUZZTIME) ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzModulesAgree$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/mdl/
 
 # End-to-end daemon smoke: build cmd/mdserve, boot it on an ephemeral

@@ -1,6 +1,7 @@
-// Package bitset provides dense, growable bit sets used throughout the
-// machine-description reduction pipeline: forbidden-latency sets, resource
-// usage masks, packed reservation-table words and automaton state keys.
+// Package bitset provides the dense bit sets of the machine-description
+// reduction pipeline: Signed holds forbidden-latency sets, Dense the
+// per-resource forbidden-triple sets of cover pruning, and Set is the
+// growable set Signed is built on.
 //
 // The zero value of Set is an empty set ready to use.
 package bitset
@@ -91,13 +92,6 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// Clear removes all elements, retaining capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words))}
@@ -111,40 +105,6 @@ func (s *Set) UnionWith(t *Set) {
 	for i, w := range t.words {
 		s.words[i] |= w
 	}
-}
-
-// IntersectWith removes from s every element not in t.
-func (s *Set) IntersectWith(t *Set) {
-	for i := range s.words {
-		if i < len(t.words) {
-			s.words[i] &= t.words[i]
-		} else {
-			s.words[i] = 0
-		}
-	}
-}
-
-// DifferenceWith removes from s every element of t.
-func (s *Set) DifferenceWith(t *Set) {
-	for i := range s.words {
-		if i < len(t.words) {
-			s.words[i] &^= t.words[i]
-		}
-	}
-}
-
-// Intersects reports whether s and t share at least one element.
-func (s *Set) Intersects(t *Set) bool {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // SubsetOf reports whether every element of s is also in t.
@@ -182,26 +142,6 @@ func (s *Set) Equal(t *Set) bool {
 	return true
 }
 
-// Min returns the smallest element, or -1 if the set is empty.
-func (s *Set) Min() int {
-	for i, w := range s.words {
-		if w != 0 {
-			return i*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// Max returns the largest element, or -1 if the set is empty.
-func (s *Set) Max() int {
-	for i := len(s.words) - 1; i >= 0; i-- {
-		if w := s.words[i]; w != 0 {
-			return i*wordBits + (wordBits - 1 - bits.LeadingZeros64(w))
-		}
-	}
-	return -1
-}
-
 // ForEach calls f on every element in increasing order. If f returns false
 // the iteration stops early.
 func (s *Set) ForEach(f func(v int) bool) {
@@ -224,52 +164,6 @@ func (s *Set) Slice() []int {
 		return true
 	})
 	return out
-}
-
-// ShiftedUnionWith adds (v + delta) to s for every v in t; every shifted
-// value must be non-negative.
-func (s *Set) ShiftedUnionWith(t *Set, delta int) {
-	if delta == 0 {
-		s.UnionWith(t)
-		return
-	}
-	t.ForEach(func(v int) bool {
-		s.Add(v + delta)
-		return true
-	})
-}
-
-// IntersectsShifted reports whether s and {v + delta : v in t} share an
-// element. Shifted values that fall below zero are ignored.
-func (s *Set) IntersectsShifted(t *Set, delta int) bool {
-	found := false
-	t.ForEach(func(v int) bool {
-		if s.Contains(v + delta) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// Key returns a canonical string key for use as a map key. Two sets have the
-// same key iff they are Equal.
-func (s *Set) Key() string {
-	// Trim trailing zero words so equal sets with different capacity match.
-	n := len(s.words)
-	for n > 0 && s.words[n-1] == 0 {
-		n--
-	}
-	var b strings.Builder
-	b.Grow(n * 8)
-	for i := 0; i < n; i++ {
-		w := s.words[i]
-		for j := 0; j < 8; j++ {
-			b.WriteByte(byte(w >> uint(8*j)))
-		}
-	}
-	return b.String()
 }
 
 // String renders the set as "{a, b, c}".

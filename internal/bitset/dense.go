@@ -25,9 +25,6 @@ func NewDense(n int) *Dense {
 	return &Dense{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Universe returns the universe size n the set was built for.
-func (d *Dense) Universe() int { return d.n }
-
 // Add inserts v. v must be inside the universe.
 func (d *Dense) Add(v int) {
 	if v < 0 || v >= d.n {

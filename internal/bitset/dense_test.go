@@ -7,8 +7,8 @@ import (
 
 func TestDenseBasics(t *testing.T) {
 	d := NewDense(130)
-	if d.Universe() != 130 || d.Len() != 0 {
-		t.Fatalf("fresh Dense: universe=%d len=%d", d.Universe(), d.Len())
+	if d.Len() != 0 {
+		t.Fatalf("fresh Dense: len=%d", d.Len())
 	}
 	for _, v := range []int{0, 63, 64, 129} {
 		d.Add(v)
@@ -85,9 +85,9 @@ func TestDenseMatchesSet(t *testing.T) {
 		if a.Len() != sa.Len() {
 			t.Fatalf("trial %d: Len disagrees with Set", trial)
 		}
-		if (a.Hash() == b.Hash()) != (sa.Key() == sb.Key()) {
+		if (a.Hash() == b.Hash()) != sa.Equal(sb) {
 			// Hash collisions are possible in principle but must not occur
-			// on a 200-trial random corpus; Key is the exact oracle.
+			// on a 200-trial random corpus; Set.Equal is the exact oracle.
 			if a.Equal(b) {
 				t.Fatalf("trial %d: equal sets hash differently", trial)
 			}

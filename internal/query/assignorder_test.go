@@ -54,11 +54,13 @@ func mustBitvector(t *testing.T, e *resmodel.Expanded, ii int) *Bitvector {
 }
 
 // discreteOwnsAll reports whether every cell of id's placement (op at
-// cycle) is still owned by id in d: no later unchecked Assign overwrote
-// any of them.
+// cycle) is still owned by id in d: no later unchecked Assign or union
+// seeding overwrote any of them. Cells before a linear table's entry
+// are skipped.
 func discreteOwnsAll(d *Discrete, op, cycle, id int) bool {
-	for _, u := range d.uses(op) {
-		if int(*d.cell(u.Resource, cycle+u.Cycle)) != id {
+	base := d.tab.fold(cycle)
+	for _, u := range d.c.uses[op] {
+		if c := d.tab.at(base, u.Cycle); c >= 0 && int(d.tab.get(u.Resource, c)) != id {
 			return false
 		}
 	}

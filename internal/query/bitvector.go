@@ -23,9 +23,10 @@ type packedWord struct {
 // assign&free starts in optimistic mode, carrying no operation-owner
 // fields; the first conflict forces a transition to update mode, which
 // scans the scheduled-instance list to reconstruct the owner fields and
-// maintains them thereafter (Section 7). free stays word-based in both
-// modes: the bitvector flags are the source of truth, and a stale owner
-// entry under a cleared flag is never consulted.
+// maintains them thereafter (Section 7). The owner fields are a
+// cellTable, the same table Discrete keeps its whole state in. free
+// stays word-based in both modes: the bitvector flags are the source of
+// truth, and a stale owner entry under a cleared flag is never consulted.
 type Bitvector struct {
 	e        *resmodel.Expanded
 	c        *compiled
@@ -74,8 +75,9 @@ type Bitvector struct {
 
 	inst       instTable
 	updateMode bool
-	owners     []int32
-	ownerWidth int
+	// own holds the owner fields: built at the first mode transition or
+	// seeding, so a fresh module carries none (StateBytes).
+	own *cellTable
 	// evictScratch backs the slice AssignFree returns, reused across
 	// calls so steady-state eviction allocates nothing.
 	evictScratch []int
@@ -260,16 +262,8 @@ func (b *Bitvector) occAny(lo, hi int) bool {
 	return b.occ[w2]&tailMask != 0
 }
 
-func (b *Bitvector) modCycle(cycle int) int {
-	c := cycle % b.ii
-	if c < 0 {
-		c += b.ii
-	}
-	return c
-}
-
 // wrap folds an MRT cycle in [0, 2*II) into [0, II) with one conditional
-// subtract. Every modulo write reduces its query cycle once (modCycle)
+// subtract. Every modulo write reduces its query cycle once (fold)
 // and then adds offsets below II — folded usage cycles, or word and
 // in-word offsets of a folded packed table — so this is the only fold
 // the write path needs.
@@ -357,7 +351,7 @@ func (b *Bitvector) Check(op, cycle int) bool {
 
 func (b *Bitvector) check(op, cycle int) bool {
 	if b.ii > 0 {
-		jm := b.modCycle(cycle)
+		jm := fold(cycle, b.ii)
 		for _, w := range b.packed[op][0] {
 			b.ctr.CheckWork++
 			if b.window(b.wordStart(jm, w))&w.Bits != 0 {
@@ -366,9 +360,7 @@ func (b *Bitvector) check(op, cycle int) bool {
 		}
 		return true
 	}
-	if cycle < 0 {
-		panic(fmt.Sprintf("query: negative cycle %d on linear reserved table", cycle))
-	}
+	mustEntry(b.ii, cycle)
 	a, base := cycle%b.k, cycle/b.k
 	for _, w := range b.packed[op][a] {
 		b.ctr.CheckWork++
@@ -392,6 +384,7 @@ func (b *Bitvector) check(op, cycle int) bool {
 func (b *Bitvector) Assign(op, cycle, id int) {
 	b.ctr.AssignCalls++
 	b.mustSchedulable(op)
+	mustEntry(b.ii, cycle)
 	w0 := b.ctr.AssignWork
 	b.orTable(op, cycle, &b.ctr.AssignWork)
 	b.inst.put(id, op, cycle)
@@ -403,7 +396,7 @@ func (b *Bitvector) Assign(op, cycle, id int) {
 
 func (b *Bitvector) orTable(op, cycle int, work *int64) {
 	if b.ii > 0 {
-		jm := b.modCycle(cycle)
+		jm := fold(cycle, b.ii)
 		for _, w := range b.packed[op][0] {
 			*work++
 			b.orWordMod(w, b.wordStart(jm, w))
@@ -423,18 +416,22 @@ func (b *Bitvector) orTable(op, cycle int, work *int64) {
 
 func (b *Bitvector) andNotTable(op, cycle int, work *int64) {
 	if b.ii > 0 {
-		jm := b.modCycle(cycle)
+		jm := fold(cycle, b.ii)
 		for _, w := range b.packed[op][0] {
 			*work++
 			b.andNotWordMod(w, b.wordStart(jm, w))
 		}
 		return
 	}
-	a, base := cycle%b.k, cycle/b.k
+	// A seeded dangling instance is freed at its issue cycle before the
+	// entry: the alignment and base word round toward minus infinity, and
+	// words before the entry are charged but not touched.
+	a := fold(cycle, b.k)
+	base := (cycle - a) / b.k
 	for _, w := range b.packed[op][a] {
 		*work++
 		wi := base + w.Word
-		if wi < len(b.reserved) {
+		if wi >= 0 && wi < len(b.reserved) {
 			b.reserved[wi] &^= w.Bits
 			b.occSync(wi, b.reserved[wi])
 			b.rowsAndNotWordLin(wi, w.Bits)
@@ -443,6 +440,8 @@ func (b *Bitvector) andNotTable(op, cycle int, work *int64) {
 }
 
 // Free implements Module: one AND-NOT per non-empty reservation word.
+// cycle may lie before a linear table's entry when id is a seeded
+// dangling instance.
 func (b *Bitvector) Free(op, cycle, id int) {
 	b.ctr.FreeCalls++
 	w0 := b.ctr.FreeWork
@@ -455,6 +454,7 @@ func (b *Bitvector) Free(op, cycle, id int) {
 func (b *Bitvector) AssignFree(op, cycle, id int) []int {
 	b.ctr.AssignFreeCalls++
 	b.mustSchedulable(op)
+	mustEntry(b.ii, cycle)
 	w0 := b.ctr.AssignFreeWork
 	if !b.updateMode {
 		if b.optimisticAssign(op, cycle) {
@@ -489,7 +489,7 @@ func (b *Bitvector) mustSchedulable(op int) {
 // is counted as work) and reports failure.
 func (b *Bitvector) optimisticAssign(op, cycle int) bool {
 	if b.ii > 0 {
-		jm := b.modCycle(cycle)
+		jm := fold(cycle, b.ii)
 		words := b.packed[op][0]
 		for i, w := range words {
 			b.ctr.AssignFreeWork++
@@ -528,39 +528,27 @@ func (b *Bitvector) optimisticAssign(op, cycle int) bool {
 	return true
 }
 
-// enterUpdateMode materializes the owner grid by scanning the entire
+// enterUpdateMode materializes the owner fields by scanning the entire
 // scheduled-instance list; each reconstructed usage is one work unit,
 // charged to the AssignFree that triggered the transition.
 func (b *Bitvector) enterUpdateMode() {
 	b.updateMode = true
+	b.owners().reset()
 	slots := b.inst.slots
-	if b.ii > 0 {
-		b.ownerWidth = b.ii
-	} else {
-		need := 16
-		for i := range slots {
-			if s := &slots[i]; s.key != 0 {
-				if end := s.cycle + b.c.spans[s.op]; end > need {
-					need = end
-				}
-			}
-		}
-		b.ownerWidth = need
-	}
-	if n := b.nRes * b.ownerWidth; cap(b.owners) >= n {
-		b.owners = b.owners[:n]
-	} else {
-		b.owners = make([]int32, n)
-	}
-	for i := range b.owners {
-		b.owners[i] = -1
-	}
 	for i := range slots {
 		if s := &slots[i]; s.key != 0 {
 			b.ctr.AssignFreeWork += int64(len(b.c.uses[s.op]))
 			b.claimOwners(int(s.op), s.cycle, int32(s.id()), s.seq)
 		}
 	}
+}
+
+// owners returns the owner table, building it on first use.
+func (b *Bitvector) owners() *cellTable {
+	if b.own == nil {
+		b.own = newCellTable(b.nRes, b.c)
+	}
+	return b.own
 }
 
 // claimOwners writes id, stamped seq by the instance table, into the
@@ -573,62 +561,13 @@ func (b *Bitvector) enterUpdateMode() {
 // never overlap instances, so the rebuild's claims find their cells
 // unowned.
 func (b *Bitvector) claimOwners(op, cycle int, id int32, seq uint64) {
-	jm := 0
-	if b.ii > 0 {
-		jm = b.modCycle(cycle)
-	}
+	base := b.own.fold(cycle)
 	for _, u := range b.c.uses[op] {
-		var cell *int32
-		if b.ii > 0 {
-			cell = &b.owners[u.Resource*b.ii+b.wrap(jm+u.Cycle)]
-		} else {
-			cell = b.ownerCell(u.Resource, cycle+u.Cycle)
-		}
-		if *cell < 0 || b.inst.seqOf(int(*cell)) < seq {
+		cell := b.own.cell(u.Resource, b.own.at(base, u.Cycle))
+		if cell != nil && (*cell < 0 || b.inst.seqOf(int(*cell)) < seq) {
 			*cell = id
 		}
 	}
-}
-
-// ownerCell returns the owner field of resource r at linear cycle
-// cycle, widening the grid on demand. Modulo tables index their
-// II-wide grid directly (owners[r*II+t]).
-func (b *Bitvector) ownerCell(r, cycle int) *int32 {
-	if cycle >= b.ownerWidth {
-		// Double the grid width; only the fresh tail of each resource
-		// row needs the -1 (unowned) fill. When the backing array is
-		// already wide enough (a reset module regrowing), the rows are
-		// reshaped in place back to front — row r moves from offset
-		// r*oldWidth to the strictly larger r*newWidth, so descending
-		// over rows never clobbers an unmoved one, and copy handles
-		// the overlap within a row.
-		ow, nw := b.ownerWidth, b.ownerWidth
-		for nw <= cycle {
-			nw *= 2
-		}
-		if cap(b.owners) >= b.nRes*nw {
-			cells := b.owners[:b.nRes*nw]
-			for rr := b.nRes - 1; rr >= 0; rr-- {
-				row := cells[rr*nw : (rr+1)*nw]
-				copy(row, cells[rr*ow:(rr+1)*ow])
-				for i := ow; i < nw; i++ {
-					row[i] = -1
-				}
-			}
-			b.owners, b.ownerWidth = cells, nw
-		} else {
-			cells := make([]int32, b.nRes*nw)
-			for rr := 0; rr < b.nRes; rr++ {
-				row := cells[rr*nw : (rr+1)*nw]
-				copy(row, b.owners[rr*ow:(rr+1)*ow])
-				for i := ow; i < nw; i++ {
-					row[i] = -1
-				}
-			}
-			b.owners, b.ownerWidth = cells, nw
-		}
-	}
-	return &b.owners[r*b.ownerWidth+cycle]
 }
 
 // updateAssignFree is the usage-by-usage assign&free of update mode. The
@@ -637,71 +576,75 @@ func (b *Bitvector) ownerCell(r, cycle int) *int32 {
 // consumes it immediately, so steady-state evictions allocate nothing.
 func (b *Bitvector) updateAssignFree(op, cycle, id int) []int {
 	evicted := b.evictScratch[:0]
-	if b.ii > 0 {
-		// Each folded usage lands at jm+u.Cycle < 2*II: one wrap, then
-		// the busy flag comes from the resource's verdict row and the
-		// owner from the II-wide grid, with no division anywhere.
-		jm := b.modCycle(cycle)
-		for _, u := range b.c.uses[op] {
-			b.ctr.AssignFreeWork++
-			t := b.wrap(jm + u.Cycle)
-			cell := &b.owners[u.Resource*b.ii+t]
-			if b.rows[u.Resource*b.rowW+t>>6]>>uint(t&63)&1 != 0 {
-				if other := int(*cell); other >= 0 && other != id {
-					evicted = append(evicted, other)
-					b.evict(other)
-				}
-			}
-			b.orCycle(t, 1<<uint(u.Resource))
-			*cell = int32(id)
-		}
-		b.evictScratch = evicted
-		return evicted
-	}
+	base := b.own.fold(cycle)
 	for _, u := range b.c.uses[op] {
 		b.ctr.AssignFreeWork++
-		t := cycle + u.Cycle
-		if b.reservedBit(u.Resource, t) {
-			cell := b.ownerCell(u.Resource, t)
+		t := b.own.at(base, u.Cycle)
+		cell := b.own.cell(u.Resource, t)
+		if b.busyAt(u.Resource, t) {
 			if other := int(*cell); other >= 0 && other != id {
 				evicted = append(evicted, other)
 				b.evict(other)
 			}
 		}
-		b.setBit(u.Resource, t)
-		*b.ownerCell(u.Resource, t) = int32(id)
+		if b.ii > 0 {
+			b.orCycle(t, 1<<uint(u.Resource))
+		} else {
+			b.setBit(u.Resource, t)
+		}
+		*cell = int32(id)
 	}
 	b.evictScratch = evicted
 	return evicted
 }
 
 // evict unschedules a conflicting instance usage by usage (update mode
-// only); the work is charged to the enclosing AssignFree.
+// only); the work is charged to the enclosing AssignFree. Every usage is
+// one unit, including a dangling instance's usages before the entry,
+// whose cells the owner table skips.
 func (b *Bitvector) evict(id int) {
 	in, ok := b.inst.take(id)
 	if !ok {
 		panic(fmt.Sprintf("query: evicting unknown instance %d", id))
 	}
-	if b.ii > 0 {
-		jm := b.modCycle(in.cycle)
-		for _, u := range b.c.uses[in.op] {
-			b.ctr.AssignFreeWork++
-			t := b.wrap(jm + u.Cycle)
-			if cell := &b.owners[u.Resource*b.ii+t]; int(*cell) == id {
-				*cell = -1
-				b.andNotCycle(t, 1<<uint(u.Resource))
-			}
-		}
-		return
-	}
+	base := b.own.fold(in.cycle)
 	for _, u := range b.c.uses[in.op] {
 		b.ctr.AssignFreeWork++
-		t := in.cycle + u.Cycle
-		cell := b.ownerCell(u.Resource, t)
-		if int(*cell) == id {
-			*cell = -1
-			b.clearBit(u.Resource, t)
+		if t := b.own.at(base, u.Cycle); b.own.release(u.Resource, t, int32(id)) {
+			if b.ii > 0 {
+				b.andNotCycle(t, 1<<uint(u.Resource))
+			} else {
+				b.clearBit(u.Resource, t)
+			}
 		}
+	}
+}
+
+// busyAt reads the reserved flag of resource r at owner-table column t
+// (an MRT cycle in [0, II), or a linear cycle at or after the entry)
+// from the resource's verdict row, which covers every cycle the packed
+// words do, with no division.
+func (b *Bitvector) busyAt(r, t int) bool {
+	w := t >> 6
+	return w < b.rowW && b.rows[r*b.rowW+w]>>uint(t&63)&1 != 0
+}
+
+// setBit and clearBit flip one flag of a linear table at a cycle at or
+// after the entry; the modulo write path goes through orCycle and
+// andNotCycle.
+func (b *Bitvector) setBit(r, cycle int) {
+	wi, bit := cycle/b.k, uint64(1)<<uint((cycle%b.k)*b.nRes+r)
+	b.growWords(wi)
+	b.reserved[wi] |= bit
+	b.occMark(wi)
+	b.rowsOrWordLin(wi, bit)
+}
+
+func (b *Bitvector) clearBit(r, cycle int) {
+	if wi, bit := cycle/b.k, uint64(1)<<uint((cycle%b.k)*b.nRes+r); wi < len(b.reserved) {
+		b.reserved[wi] &^= bit
+		b.occSync(wi, b.reserved[wi])
+		b.rowsAndNotWordLin(wi, bit)
 	}
 }
 
@@ -711,31 +654,11 @@ func (b *Bitvector) evict(id int) {
 // accessor is what the rows are verified against.
 func (b *Bitvector) reservedBit(r, cycle int) bool {
 	if b.ii > 0 {
-		p := b.mirrorAt[b.modCycle(cycle)]
+		p := b.mirrorAt[fold(cycle, b.ii)]
 		return b.mirror[p.word]&(1<<(p.shift+uint32(r))) != 0
 	}
 	wi := cycle / b.k
 	return wi < len(b.reserved) && b.reserved[wi]&(1<<uint((cycle%b.k)*b.nRes+r)) != 0
-}
-
-// setBit and clearBit flip one flag of a linear table; the modulo
-// write path folds its cycles itself and goes through orCycle and
-// andNotCycle.
-func (b *Bitvector) setBit(r, cycle int) {
-	wi := cycle / b.k
-	b.growWords(wi)
-	b.reserved[wi] |= 1 << uint((cycle%b.k)*b.nRes+r)
-	b.occMark(wi)
-	b.rowsOrWordLin(wi, 1<<uint((cycle%b.k)*b.nRes+r))
-}
-
-func (b *Bitvector) clearBit(r, cycle int) {
-	wi := cycle / b.k
-	if wi < len(b.reserved) {
-		b.reserved[wi] &^= 1 << uint((cycle%b.k)*b.nRes+r)
-		b.occSync(wi, b.reserved[wi])
-		b.rowsAndNotWordLin(wi, 1<<uint((cycle%b.k)*b.nRes+r))
-	}
 }
 
 // CheckWithAlt implements Module: alternatives are checked individually,
@@ -750,9 +673,10 @@ func (b *Bitvector) CheckWithAlt(origOp, cycle int) (int, bool) {
 func (b *Bitvector) Counters() *Counters { return &b.ctr }
 
 // Reset implements Module. It clears in place and keeps every backing
-// buffer — the instance table's slots, the owner grid's capacity, the
-// grown reserved table — so an arena-held module resets without
-// allocating (pinned by TestResetDoesNotAllocate).
+// buffer — the instance table's slots, the owner table, the grown
+// reserved table — so an arena-held module resets without allocating
+// (pinned by TestResetDoesNotAllocate). The owner table is left as it
+// is: the next mode transition or seeding clears it before use.
 func (b *Bitvector) Reset() {
 	if b.ii > 0 {
 		for i := range b.mirror {
@@ -771,8 +695,6 @@ func (b *Bitvector) Reset() {
 	}
 	b.inst.clear()
 	b.updateMode = false
-	b.owners = b.owners[:0]
-	b.ownerWidth = 0
 	b.ctr.Reset()
 }
 
@@ -786,10 +708,12 @@ var _ Module = (*Bitvector)(nil)
 func (b *Bitvector) AltGroupOf(origOp int) []int { return b.e.AltGroup[origOp] }
 
 // StateBytes reports the reserved-table storage in bytes: the packed
-// reserved words plus the owner grid once update mode has materialized
-// it.
+// reserved words plus the owner table once update mode or seeding has
+// built it.
 func (b *Bitvector) StateBytes() int {
 	n := 8 * (len(b.reserved) + len(b.mirror))
-	n += 4 * len(b.owners)
+	if b.own != nil {
+		n += b.own.bytes()
+	}
 	return n
 }

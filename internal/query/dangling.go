@@ -1,7 +1,5 @@
 package query
 
-import "fmt"
-
 // Dangling describes a resource requirement dangling into a basic block
 // from a predecessor: Op was issued IssueCycle cycles BEFORE the block
 // entry (IssueCycle < 0), so the usages of its reservation table that fall
@@ -25,75 +23,29 @@ type DanglingSeeder interface {
 	Module
 	// SeedDangling reserves the portions of the dangling operations'
 	// reservation tables that extend into this block (cycle >= 0). It must
-	// be called on an empty schedule, before any Assign.
+	// be called on an empty schedule, before any Assign. Two distinct
+	// instances reserving one cell is an error; one instance reserving a
+	// cell twice is not.
+	//
+	// A seeded instance is then an instance like any other: a conflicting
+	// AssignFree evicts it, and Free releases it at its (negative) issue
+	// cycle. Its usages before the entry belong to the predecessor block:
+	// they are charged like any usage or word, but read as free and are
+	// never written.
 	SeedDangling(ds []Dangling) error
 }
 
 // SeedDangling implements DanglingSeeder for the discrete representation.
 func (d *Discrete) SeedDangling(ds []Dangling) error {
-	if d.ii > 0 {
-		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
-	}
-	if d.inst.len() > 0 {
-		return fmt.Errorf("query: SeedDangling on a non-empty schedule")
-	}
-	for _, dg := range ds {
-		if dg.IssueCycle >= 0 {
-			return fmt.Errorf("query: dangling op %d has non-negative issue cycle %d", dg.Op, dg.IssueCycle)
-		}
-		for _, u := range d.uses(dg.Op) {
-			t := dg.IssueCycle + u.Cycle
-			if t < 0 {
-				continue // consumed in the predecessor block
-			}
-			c := d.cell(u.Resource, t)
-			if *c >= 0 && int(*c) != dg.ID {
-				return fmt.Errorf("query: dangling requirements of instances %d and %d collide on %s at cycle %d",
-					*c, dg.ID, d.e.Resources[u.Resource], t)
-			}
-			*c = int32(dg.ID)
-		}
-		d.inst.put(dg.ID, dg.Op, dg.IssueCycle)
-	}
-	return nil
+	return d.tab.seed(d.e, d.c, &d.inst, ds, false, nil)
 }
 
-// SeedDangling implements DanglingSeeder for the bitvector representation.
-// The bitvector flags carry no owner fields, so seeding tracks cell
-// ownership on the side: like Discrete.SeedDangling, a (resource, cycle)
-// cell reserved twice by the SAME instance — a reservation table that
-// uses one cell twice, or the same id listed twice — is not a collision;
-// only two distinct instances contending for a cell is.
+// SeedDangling implements DanglingSeeder for the bitvector
+// representation. The bitvector flags carry no owner fields, so the
+// collision check reads the owner table, which seeding fills as the
+// update-mode rebuild would.
 func (b *Bitvector) SeedDangling(ds []Dangling) error {
-	if b.ii > 0 {
-		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
-	}
-	if b.inst.len() > 0 {
-		return fmt.Errorf("query: SeedDangling on a non-empty schedule")
-	}
-	owner := make(map[[2]int]int) // (resource, cycle) -> seeding instance id
-	for _, dg := range ds {
-		if dg.IssueCycle >= 0 {
-			return fmt.Errorf("query: dangling op %d has non-negative issue cycle %d", dg.Op, dg.IssueCycle)
-		}
-		for _, u := range b.c.uses[dg.Op] {
-			t := dg.IssueCycle + u.Cycle
-			if t < 0 {
-				continue
-			}
-			if b.reservedBit(u.Resource, t) {
-				if prev := owner[[2]int{u.Resource, t}]; prev != dg.ID {
-					return fmt.Errorf("query: dangling requirements of instances %d and %d collide on %s at cycle %d",
-						prev, dg.ID, b.e.Resources[u.Resource], t)
-				}
-				continue
-			}
-			b.setBit(u.Resource, t)
-			owner[[2]int{u.Resource, t}] = dg.ID
-		}
-		b.inst.put(dg.ID, dg.Op, dg.IssueCycle)
-	}
-	return nil
+	return b.owners().seed(b.e, b.c, &b.inst, ds, false, b.setBit)
 }
 
 // SeedDanglingUnion seeds the union of dangling requirements from SEVERAL
@@ -102,59 +54,19 @@ func (b *Bitvector) SeedDangling(ds []Dangling) error {
 // resource cycle because at run time only one predecessor's operations are
 // actually in flight — the union is the precise conservative boundary
 // condition of Section 1 ("the union of all the resource requirements
-// dangling from predecessor basic blocks"). The first owner of a cell wins
-// for eviction bookkeeping.
+// dangling from predecessor basic blocks"). The last listed entry owns a
+// shared cell for eviction bookkeeping, as an overwriting Assign would
+// leave it.
 func (d *Discrete) SeedDanglingUnion(ds []Dangling) error {
-	if d.ii > 0 {
-		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
-	}
-	if d.inst.len() > 0 {
-		return fmt.Errorf("query: SeedDanglingUnion on a non-empty schedule")
-	}
-	for _, dg := range ds {
-		if dg.IssueCycle >= 0 {
-			return fmt.Errorf("query: dangling op %d has non-negative issue cycle %d", dg.Op, dg.IssueCycle)
-		}
-		for _, u := range d.uses(dg.Op) {
-			t := dg.IssueCycle + u.Cycle
-			if t < 0 {
-				continue
-			}
-			c := d.cell(u.Resource, t)
-			if *c < 0 {
-				*c = int32(dg.ID)
-			}
-		}
-		d.inst.put(dg.ID, dg.Op, dg.IssueCycle)
-	}
-	return nil
+	return d.tab.seed(d.e, d.c, &d.inst, ds, true, nil)
 }
 
 // SeedDanglingUnion implements the multi-predecessor boundary condition
 // for the bitvector representation: overlapping requirements from
 // different predecessors OR into the same flags without error, exactly
-// mirroring Discrete.SeedDanglingUnion.
+// mirroring Discrete.SeedDanglingUnion, ownership included.
 func (b *Bitvector) SeedDanglingUnion(ds []Dangling) error {
-	if b.ii > 0 {
-		return fmt.Errorf("query: dangling requirements apply to linear schedules, not Modulo Reservation Tables")
-	}
-	if b.inst.len() > 0 {
-		return fmt.Errorf("query: SeedDanglingUnion on a non-empty schedule")
-	}
-	for _, dg := range ds {
-		if dg.IssueCycle >= 0 {
-			return fmt.Errorf("query: dangling op %d has non-negative issue cycle %d", dg.Op, dg.IssueCycle)
-		}
-		for _, u := range b.c.uses[dg.Op] {
-			t := dg.IssueCycle + u.Cycle
-			if t < 0 {
-				continue
-			}
-			b.setBit(u.Resource, t)
-		}
-		b.inst.put(dg.ID, dg.Op, dg.IssueCycle)
-	}
-	return nil
+	return b.owners().seed(b.e, b.c, &b.inst, ds, true, b.setBit)
 }
 
 // DanglingFrom extracts the dangling requirements a scheduled block

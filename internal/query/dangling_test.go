@@ -1,7 +1,9 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -153,7 +155,9 @@ func TestSeedDanglingDoubleUse(t *testing.T) {
 // deliberate overlaps, since different predecessors may dangle the same
 // requirement — through Discrete.SeedDanglingUnion and
 // Bitvector.SeedDanglingUnion and checks that every contention query
-// answers identically afterwards (DESIGN §1's multi-predecessor boundary
+// answers identically afterwards, and that conflicting AssignFrees evict
+// the same seeded instances in the same order: the last listed entry
+// owns a shared cell on both (DESIGN §1's multi-predecessor boundary
 // condition must not depend on the representation).
 func TestSeedDanglingUnionParity(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
@@ -196,6 +200,14 @@ func TestSeedDanglingUnionParity(t *testing.T) {
 					t.Fatalf("seed %d: Check(op %d, cycle %d): bitvector %v, discrete %v",
 						seed, op, cyc, got, want)
 				}
+			}
+		}
+		for step := 0; step < 8; step++ {
+			op, cyc := rng.Intn(len(e.Ops)), rng.Intn(8)
+			want := slices.Clone(d.AssignFree(op, cyc, step))
+			if got := bv.AssignFree(op, cyc, step); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: AssignFree(op %d, cycle %d) evicted %v on bitvector, %v on discrete",
+					seed, step, op, cyc, got, want)
 			}
 		}
 
@@ -262,5 +274,99 @@ func TestQuickDanglingEquivalentToConcatenation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// danglingSeeders returns the linear modules that support seeding: the
+// discrete table and the bitvector at one cycle per word and at the
+// densest packing.
+func danglingSeeders(t *testing.T, e *resmodel.Expanded) map[string]DanglingSeeder {
+	t.Helper()
+	out := map[string]DanglingSeeder{"discrete": NewDiscrete(e, 0)}
+	for _, k := range []int{1, MaxCyclesPerWord(len(e.Resources), 64)} {
+		bv, err := NewBitvector(e, k, 64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("bitvector/k=%d", k)] = bv
+	}
+	return out
+}
+
+// TestAssignFreeEvictsDanglingInstance: a conflicting AssignFree evicts a
+// seeded dangling instance like any other. Its usages before the entry
+// are charged but never written, and its in-block cells read free
+// afterwards.
+func TestAssignFreeEvictsDanglingInstance(t *testing.T) {
+	e := figure1()
+	bop := e.OpIndex("B")
+	for name, m := range danglingSeeders(t, e) {
+		if err := m.SeedDangling([]Dangling{{Op: bop, IssueCycle: -3, ID: 1}}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ev := m.AssignFree(bop, 0, 2); !slices.Equal(ev, []int{1}) {
+			t.Fatalf("%s: AssignFree(B, 0) evicted %v, want [1]", name, ev)
+		}
+		m.Free(bop, 0, 2)
+		for cyc := 0; cyc < 12; cyc++ {
+			if !m.Check(bop, cyc) {
+				t.Errorf("%s: B@%d blocked after evicting the dangling B and freeing its evictor", name, cyc)
+			}
+		}
+	}
+	// The eviction walks all 8 usages of each B: 8 for the new B, 8 for
+	// the dangling one, one of which lies before the entry.
+	d := NewDiscrete(e, 0)
+	if err := d.SeedDangling([]Dangling{{Op: bop, IssueCycle: -3, ID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	d.AssignFree(bop, 0, 2)
+	if got := d.Counters().AssignFreeWork; got != 16 {
+		t.Errorf("discrete AssignFree work = %d, want 16", got)
+	}
+}
+
+// TestFreeDanglingInstance: Free releases a seeded dangling instance at
+// its negative issue cycle, charging every usage or word.
+func TestFreeDanglingInstance(t *testing.T) {
+	e := figure1()
+	bop := e.OpIndex("B")
+	for name, m := range danglingSeeders(t, e) {
+		if err := m.SeedDangling([]Dangling{{Op: bop, IssueCycle: -3, ID: 1}}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.Check(bop, 0) {
+			t.Fatalf("%s: B@0 free despite the dangling B", name)
+		}
+		m.Free(bop, -3, 1)
+		for cyc := 0; cyc < 12; cyc++ {
+			if !m.Check(bop, cyc) {
+				t.Errorf("%s: B@%d blocked after freeing the dangling B", name, cyc)
+			}
+		}
+		if len(m.(interface {
+			Instances() map[int]struct{ Op, Cycle int }
+		}).Instances()) != 0 {
+			t.Errorf("%s: dangling instance still scheduled after Free", name)
+		}
+	}
+	d := NewDiscrete(e, 0)
+	if err := d.SeedDangling([]Dangling{{Op: bop, IssueCycle: -3, ID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	d.Free(bop, -3, 1)
+	if got := d.Counters().FreeWork; got != 8 {
+		t.Errorf("discrete Free work = %d, want 8 usages", got)
+	}
+	bv, err := NewBitvector(e, 1, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bv.SeedDangling([]Dangling{{Op: bop, IssueCycle: -3, ID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	bv.Free(bop, -3, 1)
+	if got, want := bv.Counters().FreeWork, int64(bv.WordsPerOp(bop, 0)); got != want {
+		t.Errorf("bitvector k=1 Free work = %d, want %d words", got, want)
 	}
 }

@@ -9,15 +9,13 @@ import (
 // Discrete is the discrete-representation reserved table: one row per
 // resource, one column per schedule cycle, each entry holding the id of
 // the instance that reserved it (or -1). With II > 0 it is a Modulo
-// Reservation Table: column indices wrap modulo II.
+// Reservation Table: column indices wrap modulo II. The whole table is
+// one cellTable.
 type Discrete struct {
-	e     *resmodel.Expanded
-	c     *compiled
-	ii    int // 0 = linear
-	nRes  int
-	cells []int32 // cells[r*width + col] = instance id or -1
-	width int
-	inst  instTable
+	e    *resmodel.Expanded
+	c    *compiled
+	tab  *cellTable
+	inst instTable
 	// evictScratch backs the slice AssignFree returns, reused across
 	// calls so steady-state eviction allocates nothing.
 	evictScratch []int
@@ -32,62 +30,12 @@ func NewDiscrete(e *resmodel.Expanded, ii int) *Discrete {
 	if ii < 0 {
 		panic(fmt.Sprintf("query: NewDiscrete: negative II %d", ii))
 	}
-	d := &Discrete{e: e, c: compileFor(e, ii), ii: ii, nRes: len(e.Resources),
-		met: newModuleObs("discrete")}
-	if ii > 0 {
-		d.width = ii
-	} else {
-		d.width = d.c.maxSpan() + 16
-	}
-	d.cells = make([]int32, d.nRes*d.width)
-	for i := range d.cells {
-		d.cells[i] = -1
-	}
-	return d
+	c := compileFor(e, ii)
+	return &Discrete{e: e, c: c, tab: newCellTable(len(e.Resources), c), met: newModuleObs("discrete")}
 }
 
 // II returns the initiation interval (0 for a linear table).
-func (d *Discrete) II() int { return d.ii }
-
-// uses returns op's (folded) reservation-table usages.
-func (d *Discrete) uses(op int) []resmodel.Usage { return d.c.uses[op] }
-
-// col maps a schedule cycle to a column index, growing linear tables.
-func (d *Discrete) col(cycle int) int {
-	if d.ii > 0 {
-		c := cycle % d.ii
-		if c < 0 {
-			c += d.ii
-		}
-		return c
-	}
-	if cycle < 0 {
-		panic(fmt.Sprintf("query: negative cycle %d on linear reserved table", cycle))
-	}
-	if cycle >= d.width {
-		d.growTo(cycle + 1)
-	}
-	return cycle
-}
-
-func (d *Discrete) growTo(width int) {
-	nw := d.width
-	for nw < width {
-		nw *= 2
-	}
-	cells := make([]int32, d.nRes*nw)
-	for i := range cells {
-		cells[i] = -1
-	}
-	for r := 0; r < d.nRes; r++ {
-		copy(cells[r*nw:r*nw+d.width], d.cells[r*d.width:(r+1)*d.width])
-	}
-	d.cells, d.width = cells, nw
-}
-
-func (d *Discrete) cell(r, cycle int) *int32 {
-	return &d.cells[r*d.width+d.col(cycle)]
-}
+func (d *Discrete) II() int { return d.tab.ii }
 
 // Schedulable implements Module.
 func (d *Discrete) Schedulable(op int) bool { return !d.c.selfConf[op] }
@@ -107,9 +55,11 @@ func (d *Discrete) check(op, cycle int) bool {
 		d.ctr.CheckWork++
 		return false
 	}
-	for _, u := range d.uses(op) {
+	mustEntry(d.tab.ii, cycle)
+	base := d.tab.fold(cycle)
+	for _, u := range d.c.uses[op] {
 		d.ctr.CheckWork++
-		if *d.cell(u.Resource, cycle+u.Cycle) >= 0 {
+		if *d.tab.cell(u.Resource, d.tab.at(base, u.Cycle)) >= 0 {
 			return false
 		}
 	}
@@ -121,9 +71,11 @@ func (d *Discrete) Assign(op, cycle, id int) {
 	d.ctr.AssignCalls++
 	d.mustSchedulable(op)
 	w0 := d.ctr.AssignWork
-	for _, u := range d.uses(op) {
+	mustEntry(d.tab.ii, cycle)
+	base := d.tab.fold(cycle)
+	for _, u := range d.c.uses[op] {
 		d.ctr.AssignWork++
-		*d.cell(u.Resource, cycle+u.Cycle) = int32(id)
+		*d.tab.cell(u.Resource, d.tab.at(base, u.Cycle)) = int32(id)
 	}
 	d.inst.put(id, op, cycle)
 	d.met.OnAssign(d.ctr.AssignWork - w0)
@@ -137,9 +89,11 @@ func (d *Discrete) AssignFree(op, cycle, id int) []int {
 	d.mustSchedulable(op)
 	w0 := d.ctr.AssignFreeWork
 	evicted := d.evictScratch[:0]
-	for _, u := range d.uses(op) {
+	mustEntry(d.tab.ii, cycle)
+	base := d.tab.fold(cycle)
+	for _, u := range d.c.uses[op] {
 		d.ctr.AssignFreeWork++
-		c := d.cell(u.Resource, cycle+u.Cycle)
+		c := d.tab.cell(u.Resource, d.tab.at(base, u.Cycle))
 		if other := int(*c); other >= 0 && other != id {
 			evicted = append(evicted, other)
 			d.evict(other)
@@ -159,34 +113,35 @@ func (d *Discrete) AssignFree(op, cycle, id int) []int {
 func (d *Discrete) mustSchedulable(op int) {
 	if d.c.selfConf[op] {
 		panic(fmt.Sprintf("query: op %q is unschedulable at II=%d (reservation table folds onto itself)",
-			d.e.Ops[op].Name, d.ii))
+			d.e.Ops[op].Name, d.tab.ii))
 	}
 }
 
 // evict releases all cells of a conflicting instance (internal: its work
-// is charged to the enclosing AssignFree, per Section 8).
+// is charged to the enclosing AssignFree, per Section 8). Every usage is
+// one unit, including a dangling instance's usages before the entry,
+// whose cells the table skips.
 func (d *Discrete) evict(id int) {
 	in, ok := d.inst.take(id)
 	if !ok {
 		panic(fmt.Sprintf("query: evicting unknown instance %d", id))
 	}
-	for _, u := range d.uses(in.op) {
+	base := d.tab.fold(in.cycle)
+	for _, u := range d.c.uses[in.op] {
 		d.ctr.AssignFreeWork++
-		c := d.cell(u.Resource, in.cycle+u.Cycle)
-		if int(*c) == id {
-			*c = -1
-		}
+		d.tab.release(u.Resource, d.tab.at(base, u.Cycle), int32(id))
 	}
 }
 
-// Free implements Module.
+// Free implements Module. cycle may lie before a linear table's entry
+// when id is a seeded dangling instance.
 func (d *Discrete) Free(op, cycle, id int) {
 	d.ctr.FreeCalls++
 	w0 := d.ctr.FreeWork
-	for _, u := range d.uses(op) {
+	base := d.tab.fold(cycle)
+	for _, u := range d.c.uses[op] {
 		d.ctr.FreeWork++
-		c := d.cell(u.Resource, cycle+u.Cycle)
-		if int(*c) == id {
+		if c := d.tab.cell(u.Resource, d.tab.at(base, u.Cycle)); c != nil && int(*c) == id {
 			*c = -1
 		}
 	}
@@ -208,9 +163,7 @@ func (d *Discrete) Counters() *Counters { return &d.ctr }
 // the cell grid keeps its grown width and the instance table its slots
 // — so an arena-held module resets without allocating.
 func (d *Discrete) Reset() {
-	for i := range d.cells {
-		d.cells[i] = -1
-	}
+	d.tab.reset()
 	d.inst.clear()
 	d.ctr.Reset()
 }
@@ -226,4 +179,4 @@ func (d *Discrete) AltGroupOf(origOp int) []int { return d.e.AltGroup[origOp] }
 
 // StateBytes reports the reserved-table storage in bytes: 4 per
 // (resource, cycle) cell (flag folded into the owner field).
-func (d *Discrete) StateBytes() int { return 4 * len(d.cells) }
+func (d *Discrete) StateBytes() int { return d.tab.bytes() }

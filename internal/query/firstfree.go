@@ -96,9 +96,7 @@ func (b *Bitvector) FirstFree(op, lo, hi int) (int, bool) {
 }
 
 func (b *Bitvector) firstFree(op, lo, hi int) (int, bool) {
-	if b.ii == 0 && lo < 0 {
-		panic(fmt.Sprintf("query: negative cycle %d on linear reserved table", lo))
-	}
+	mustEntry(b.ii, lo)
 	if hi < lo {
 		return 0, false
 	}
@@ -106,7 +104,7 @@ func (b *Bitvector) firstFree(op, lo, hi int) (int, bool) {
 		b.ctr.FirstFreeWork++
 		return 0, false
 	}
-	hiEff := b.effectiveHi(lo, hi)
+	hiEff := effectiveHi(b.ii, lo, hi)
 	if i := b.verdictFree(op, lo, hiEff-lo+1); i >= 0 {
 		return lo + i, true
 	}
@@ -116,9 +114,9 @@ func (b *Bitvector) firstFree(op, lo, hi int) (int, bool) {
 // effectiveHi caps a modulo scan at one full MRT period: columns repeat
 // with period II, so if none of lo .. lo+II-1 is free no later cycle is
 // either.
-func (b *Bitvector) effectiveHi(lo, hi int) int {
-	if b.ii > 0 && hi > lo+b.ii-1 {
-		return lo + b.ii - 1
+func effectiveHi(ii, lo, hi int) int {
+	if ii > 0 && hi > lo+ii-1 {
+		return lo + ii - 1
 	}
 	return hi
 }
@@ -128,9 +126,7 @@ func (b *Bitvector) FirstFreeWithAlt(origOp, lo, hi int) (int, int, bool) {
 	if origOp < 0 || origOp >= len(b.e.AltGroup) {
 		panic(fmt.Sprintf("query: FirstFreeWithAlt: original op index %d out of range", origOp))
 	}
-	if b.ii == 0 && lo < 0 {
-		panic(fmt.Sprintf("query: negative cycle %d on linear reserved table", lo))
-	}
+	mustEntry(b.ii, lo)
 	b.ctr.FirstFreeWithAltCalls++
 	b.met.OnFirstFreeWithAlt()
 	group := b.e.AltGroup[origOp]
@@ -146,7 +142,7 @@ func (b *Bitvector) firstFreeAlt(group []int, lo, hi int) (int, int, int, bool) 
 	if hi < lo {
 		return -1, 0, 0, false
 	}
-	hiEff := b.effectiveHi(lo, hi)
+	hiEff := effectiveHi(b.ii, lo, hi)
 	// One chunk is one verdict word per alternative: 64 candidates.
 	const chunk = 64
 	for t0 := lo; t0 <= hiEff; t0 += chunk {
@@ -174,9 +170,7 @@ func (d *Discrete) FirstFree(op, lo, hi int) (int, bool) {
 }
 
 func (d *Discrete) firstFree(op, lo, hi int) (int, bool) {
-	if d.ii == 0 && lo < 0 {
-		panic(fmt.Sprintf("query: negative cycle %d on linear reserved table", lo))
-	}
+	mustEntry(d.tab.ii, lo)
 	if hi < lo {
 		return 0, false
 	}
@@ -184,9 +178,10 @@ func (d *Discrete) firstFree(op, lo, hi int) (int, bool) {
 		d.ctr.FirstFreeWork++
 		return 0, false
 	}
-	hiEff := d.effectiveHi(lo, hi)
+	hiEff := effectiveHi(d.tab.ii, lo, hi)
+	base := d.tab.fold(lo)
 	for t := lo; t <= hiEff; {
-		adv, free := d.probeAdvance(op, t)
+		adv, free := d.probeAdvance(op, base)
 		if free {
 			return t, true
 		}
@@ -194,67 +189,28 @@ func (d *Discrete) firstFree(op, lo, hi int) (int, bool) {
 			return 0, false
 		}
 		t += adv
+		base = d.tab.at(base, adv)
 	}
 	return 0, false
 }
 
-func (d *Discrete) effectiveHi(lo, hi int) int {
-	if d.ii > 0 && hi > lo+d.ii-1 {
-		return lo + d.ii - 1
-	}
-	return hi
-}
-
-// cellAt reads a reserved-table cell without growing linear tables:
-// cycles beyond the current width are trivially free. Range queries must
-// not mutate the module, both for zero-allocation scans and because a
-// failed probe far in the future should not inflate the table.
-func (d *Discrete) cellAt(r, cycle int) int32 {
-	if d.ii > 0 {
-		c := cycle % d.ii
-		if c < 0 {
-			c += d.ii
-		}
-		return d.cells[r*d.width+c]
-	}
-	if cycle >= d.width {
-		return -1
-	}
-	return d.cells[r*d.width+cycle]
-}
-
-// probeAdvance walks op's usages at candidate cycle t. A contention-free
-// walk reports (0, true). Otherwise it forward-scans the row of the
-// first conflicting usage for its next free column and reports how far
-// the candidate must advance before that usage clears — every skipped
-// intermediate candidate provably conflicts on the same usage, so the
-// jump preserves the exact first-free cycle. On a Modulo Reservation
-// Table a fully reserved row reports -1: the usage can never clear at
-// this II. Every cell examined, probe or row scan, is one work unit.
-func (d *Discrete) probeAdvance(op, t int) (int, bool) {
-	for _, u := range d.uses(op) {
+// probeAdvance walks op's usages at the candidate whose base column is
+// base. Range queries only read the table: a failed probe far in the
+// future must not grow it, and cells beyond a linear table's width read
+// free. A contention-free walk reports (0, true). Otherwise the row of
+// the first conflicting usage is scanned for its next free column, and
+// the candidate must advance that far before the usage clears — every
+// skipped intermediate candidate provably conflicts on the same usage,
+// so the jump preserves the exact first-free cycle. On a Modulo
+// Reservation Table a fully reserved row reports -1: the usage can never
+// clear at this II. Every cell examined, probe or row scan, is one work
+// unit. A modulo advance stays below II, so the caller steps its base
+// with at.
+func (d *Discrete) probeAdvance(op, base int) (int, bool) {
+	for _, u := range d.c.uses[op] {
 		d.ctr.FirstFreeWork++
-		if d.cellAt(u.Resource, t+u.Cycle) < 0 {
-			continue
-		}
-		if d.ii > 0 {
-			for delta := 1; delta < d.ii; delta++ {
-				d.ctr.FirstFreeWork++
-				if d.cellAt(u.Resource, t+u.Cycle+delta) < 0 {
-					return delta, false
-				}
-			}
-			return -1, false
-		}
-		for delta := 1; ; delta++ {
-			c := t + u.Cycle + delta
-			if c >= d.width {
-				return delta, false // beyond the table: free
-			}
-			d.ctr.FirstFreeWork++
-			if d.cells[u.Resource*d.width+c] < 0 {
-				return delta, false
-			}
+		if c := d.tab.at(base, u.Cycle); d.tab.get(u.Resource, c) >= 0 {
+			return d.tab.nextFree(u.Resource, c, &d.ctr.FirstFreeWork), false
 		}
 	}
 	return 0, true
@@ -264,10 +220,10 @@ func (d *Discrete) probeAdvance(op, t int) (int, bool) {
 // answering only free/blocked. firstFreeAlt switches to it once the
 // group's advance floor of 1 is established — knowing how far a later
 // alternative's blockage extends can no longer change the minimum.
-func (d *Discrete) probeFree(op, t int) bool {
-	for _, u := range d.uses(op) {
+func (d *Discrete) probeFree(op, base int) bool {
+	for _, u := range d.c.uses[op] {
 		d.ctr.FirstFreeWork++
-		if d.cellAt(u.Resource, t+u.Cycle) >= 0 {
+		if d.tab.get(u.Resource, d.tab.at(base, u.Cycle)) >= 0 {
 			return false
 		}
 	}
@@ -279,9 +235,7 @@ func (d *Discrete) FirstFreeWithAlt(origOp, lo, hi int) (int, int, bool) {
 	if origOp < 0 || origOp >= len(d.e.AltGroup) {
 		panic(fmt.Sprintf("query: FirstFreeWithAlt: original op index %d out of range", origOp))
 	}
-	if d.ii == 0 && lo < 0 {
-		panic(fmt.Sprintf("query: negative cycle %d on linear reserved table", lo))
-	}
+	mustEntry(d.tab.ii, lo)
 	d.ctr.FirstFreeWithAltCalls++
 	d.met.OnFirstFreeWithAlt()
 	group := d.e.AltGroup[origOp]
@@ -296,7 +250,8 @@ func (d *Discrete) firstFreeAlt(group []int, lo, hi int) (int, int, int, bool) {
 	if hi < lo {
 		return -1, 0, 0, false
 	}
-	hiEff := d.effectiveHi(lo, hi)
+	hiEff := effectiveHi(d.tab.ii, lo, hi)
+	base := d.tab.fold(lo)
 	for t := lo; t <= hiEff; {
 		// Alternatives are probed in group order so the first free one at
 		// the hit cycle matches the naive CheckWithAlt tie-break. A
@@ -312,12 +267,12 @@ func (d *Discrete) firstFreeAlt(group []int, lo, hi int) (int, int, int, bool) {
 			if adv == 1 {
 				// The advance floor is already 1; only the free/blocked
 				// answer matters for the remaining alternatives.
-				if d.probeFree(op, t) {
+				if d.probeFree(op, base) {
 					return op, t, ai, true
 				}
 				continue
 			}
-			a, free := d.probeAdvance(op, t)
+			a, free := d.probeAdvance(op, base)
 			if free {
 				return op, t, ai, true
 			}
@@ -329,6 +284,7 @@ func (d *Discrete) firstFreeAlt(group []int, lo, hi int) (int, int, int, bool) {
 			return -1, 0, 0, false
 		}
 		t += adv
+		base = d.tab.at(base, adv)
 	}
 	return -1, 0, 0, false
 }

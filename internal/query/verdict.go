@@ -152,7 +152,7 @@ func (b *Bitvector) verdictFree(op, t0, L int) int {
 	found := -1
 	s := t0
 	if b.ii > 0 {
-		s = b.modCycle(t0)
+		s = fold(t0, b.ii)
 	}
 	for blk := 0; blk < L; blk += 64 {
 		n := L - blk
@@ -201,7 +201,7 @@ func (b *Bitvector) verdictAltChunk(group []int, t0, n int) (int, int, int, bool
 	scratch := b.altVerdict[:len(group)]
 	base := t0
 	if b.ii > 0 {
-		base = b.modCycle(t0)
+		base = fold(t0, b.ii)
 	}
 	for ai, o := range group {
 		if b.c.selfConf[o] {

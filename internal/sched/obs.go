@@ -34,8 +34,9 @@ func observeSchedule(r *Result) {
 		checks.Observe(int64(c))
 	}
 	// The candidate-cycle window each time-slot search covered; widths
-	// above 1 are the multi-cycle eliminations the word-parallel range
-	// scan answers in a single pass over the packed words.
+	// above 1 are the multi-cycle eliminations one range query answers:
+	// the bitvector reads one verdict-row window per usage for up to 64
+	// candidates, the discrete table scans past the blocking usage's row.
 	widths := s.Histogram("scan.width")
 	for _, w := range r.ScanWidths {
 		widths.Observe(int64(w))
