@@ -118,15 +118,19 @@ profile:
 # on Discrete and Bitvector and requires equal answers and evictions. Kept
 # out of `make test` so `go test ./...` stays
 # fast; corpus regressions in testdata/ still run there.
+# -fuzzminimizetime 1x bounds the minimisation of each new input,
+# interesting or failing, to one execution instead of up to 60 s, so the
+# smoke spends its time fuzzing; a failure is reported with its input as
+# found.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReducePreservesF$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzServeBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzServeSessionStream$$' -fuzztime $(FUZZTIME) ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzOptimalNeverInvalid$$' -fuzztime $(FUZZTIME) ./internal/sched/
-	$(GO) test -run '^$$' -fuzz '^FuzzInstTable$$' -fuzztime $(FUZZTIME) ./internal/query/
-	$(GO) test -run '^$$' -fuzz '^FuzzModulesAgree$$' -fuzztime $(FUZZTIME) ./internal/query/
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/mdl/
+	$(GO) test -run '^$$' -fuzz '^FuzzReducePreservesF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeBatchDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeSessionStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimalNeverInvalid$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/sched/
+	$(GO) test -run '^$$' -fuzz '^FuzzInstTable$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzModulesAgree$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/mdl/
 
 # End-to-end daemon smoke: build cmd/mdserve, boot it on an ephemeral
 # port, run one reduce + one batch + a metrics scrape over real TCP, then

@@ -46,23 +46,23 @@ func TestBitvectorSteadyStateZeroAlloc(t *testing.T) {
 	}
 
 	// Linear table: grow once up front, then check/assign/free cycles in
-	// the grown region must not allocate (growWords is a no-op and the
-	// eviction scratch is reused).
+	// the grown region must not allocate (grow is never reached and the
+	// instance table keeps its slots).
 	lin := fillBitvector(t, 0)
 	op := 0
 	for ; op < ops && !lin.Schedulable(op); op++ {
 	}
-	lin.growWords(4096)
+	lin.grow(4096)
 	j := 0
 	if allocs := testing.AllocsPerRun(2000, func() {
 		c := 500 + (j%100)*7
-		if lin.check(op, c) {
-			lin.orTable(op, c, &lin.ctr.AssignWork)
-			lin.andNotTable(op, c, &lin.ctr.FreeWork)
+		if lin.Check(op, c) {
+			lin.Assign(op, c, 1<<20)
+			lin.Free(op, c, 1<<20)
 		}
 		j++
 	}); allocs != 0 {
-		t.Errorf("linear check/or/andNot allocates %.1f per call, want 0", allocs)
+		t.Errorf("linear check/assign/free allocates %.1f per call, want 0", allocs)
 	}
 }
 

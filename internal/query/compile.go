@@ -13,7 +13,7 @@ import (
 // in the same steady-state cycle for two different iterations, so it is
 // unschedulable at this II (selfConf).
 //
-// Everything in a compiled (and in the packed tables hanging off it) is
+// Everything in a compiled (and in the charge tables hanging off it) is
 // immutable once built, so one instance is shared by every module
 // constructed for the same (description, II) — see compileFor.
 type compiled struct {
@@ -26,20 +26,30 @@ type compiled struct {
 	// verdict scan sizes its occupancy-summary probe with it.
 	maxUse []int
 
-	// packs caches the bitvector word packings derived from uses, keyed
-	// by effective cycles-per-word (at most 64 entries).
-	packMu sync.Mutex
-	packs  map[int]*packedTables
+	// charges caches the bitvector charge tables derived from uses,
+	// keyed by effective cycles-per-word (at most 64 entries).
+	chargeMu sync.Mutex
+	charges  map[int]*chargeTable
 }
 
-// packedTables is the k-cycles-per-word packing of a compiled table:
-// per-op per-alignment words (alignment a places the table a cycles into
-// its base word, so a query at cycle t probes word-aligned against the
-// reserved table with no per-candidate shifting). Modulo tables read
-// their words relative to the cycle's modulo slot, so they build only
-// alignment 0. Read-only after construction.
-type packedTables struct {
-	packed [][][]packedWord // packed[op][alignment]
+// chargeTable is the k-cycles-per-word packing of a compiled table, kept
+// only to count the bitvector module's work: Section 7 costs one
+// AND-and-test per non-empty packed word, and Table 6 counts exactly that.
+// byCycle[op] is op's usages sorted by cycle. words[op][a] lists op's
+// non-empty words in order for a query a cycles into its base word, the
+// table placed a cycles into that word: each entry is the word's offset
+// from the base word and the range of byCycle[op] that falls in it. Modulo tables read their words relative to the cycle's
+// modulo slot, so they build only alignment 0. The flags themselves live
+// in the module's rows. Read-only after construction.
+type chargeTable struct {
+	byCycle [][]resmodel.Usage
+	words   [][][]chargeWord
+}
+
+// chargeWord is one non-empty packed word: its offset from the query's
+// base word, and its usages byCycle[op][lo:hi].
+type chargeWord struct {
+	word, lo, hi int32
 }
 
 // compiledCacheMax bounds the memoized compilations; schedulers revisit
@@ -86,33 +96,61 @@ func compileFor(e *resmodel.Expanded, ii int) *compiled {
 	return c
 }
 
-// packsFor returns the shared k-cycles-per-word packing of c, building
-// it on first use. nRes is the description's resource count (constant
-// for a given c).
-func (c *compiled) packsFor(nRes, k int) *packedTables {
-	c.packMu.Lock()
-	defer c.packMu.Unlock()
-	if pt, ok := c.packs[k]; ok {
-		return pt
+// chargesFor returns the shared k-cycles-per-word charge table of c,
+// building it on first use in one pass over each op's cycle-sorted
+// usages: consecutive usages share a word until the word offset changes.
+func (c *compiled) chargesFor(k int) *chargeTable {
+	c.chargeMu.Lock()
+	defer c.chargeMu.Unlock()
+	if ct, ok := c.charges[k]; ok {
+		return ct
 	}
 	aligns := k
 	if c.ii > 0 {
 		aligns = 1
 	}
-	pt := &packedTables{
-		packed: make([][][]packedWord, len(c.uses)),
+	n := 0
+	for _, uses := range c.uses {
+		n += len(uses)
 	}
-	for oi := range c.uses {
-		pt.packed[oi] = make([][]packedWord, aligns)
+	sorted := make([]resmodel.Usage, 0, n)
+	words := make([]chargeWord, 0, n*aligns)
+	perOp := make([][]chargeWord, len(c.uses)*aligns)
+	ct := &chargeTable{
+		byCycle: make([][]resmodel.Usage, len(c.uses)),
+		words:   make([][][]chargeWord, len(c.uses)),
+	}
+	for oi, uses := range c.uses {
+		// Insertion sort by cycle: reservation tables hold a few dozen
+		// usages at most.
+		from := len(sorted)
+		for _, u := range uses {
+			sorted = append(sorted, u)
+			for j := len(sorted) - 1; j > from && sorted[j-1].Cycle > u.Cycle; j-- {
+				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+			}
+		}
+		byCycle := sorted[from:len(sorted):len(sorted)]
+		ct.byCycle[oi] = byCycle
+		ct.words[oi] = perOp[oi*aligns : (oi+1)*aligns : (oi+1)*aligns]
 		for a := 0; a < aligns; a++ {
-			pt.packed[oi][a] = packUses(c.uses[oi], nRes, k, a)
+			first := len(words)
+			for i, u := range byCycle {
+				w := int32((u.Cycle + a) / k)
+				if last := len(words) - 1; last >= first && words[last].word == w {
+					words[last].hi = int32(i + 1)
+				} else {
+					words = append(words, chargeWord{word: w, lo: int32(i), hi: int32(i + 1)})
+				}
+			}
+			ct.words[oi][a] = words[first:len(words):len(words)]
 		}
 	}
-	if c.packs == nil {
-		c.packs = map[int]*packedTables{}
+	if c.charges == nil {
+		c.charges = map[int]*chargeTable{}
 	}
-	c.packs[k] = pt
-	return pt
+	c.charges[k] = ct
+	return ct
 }
 
 func compile(e *resmodel.Expanded, ii int) *compiled {

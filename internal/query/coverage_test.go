@@ -21,7 +21,7 @@ func TestBitvectorOwnerGridGrowth(t *testing.T) {
 	// Force the mode transition with a conflicting assign&free.
 	bop := e.OpIndex("B")
 	bv.AssignFree(bop, 1, 2)
-	if !bv.UpdateMode() {
+	if !bv.updateMode {
 		t.Fatal("no mode transition")
 	}
 	// Far beyond the current owner grid: must grow, not panic.

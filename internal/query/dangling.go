@@ -45,7 +45,7 @@ func (d *Discrete) SeedDangling(ds []Dangling) error {
 // collision check reads the owner table, which seeding fills as the
 // update-mode rebuild would.
 func (b *Bitvector) SeedDangling(ds []Dangling) error {
-	return b.owners().seed(b.e, b.c, &b.inst, ds, false, b.setBit)
+	return b.owners().seed(b.e, b.c, &b.inst, ds, false, b.set)
 }
 
 // SeedDanglingUnion seeds the union of dangling requirements from SEVERAL
@@ -66,7 +66,7 @@ func (d *Discrete) SeedDanglingUnion(ds []Dangling) error {
 // different predecessors OR into the same flags without error, exactly
 // mirroring Discrete.SeedDanglingUnion, ownership included.
 func (b *Bitvector) SeedDanglingUnion(ds []Dangling) error {
-	return b.owners().seed(b.e, b.c, &b.inst, ds, true, b.setBit)
+	return b.owners().seed(b.e, b.c, &b.inst, ds, true, b.set)
 }
 
 // DanglingFrom extracts the dangling requirements a scheduled block

@@ -366,7 +366,7 @@ func TestFreeDanglingInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	bv.Free(bop, -3, 1)
-	if got, want := bv.Counters().FreeWork, int64(bv.WordsPerOp(bop, 0)); got != want {
+	if got, want := bv.Counters().FreeWork, int64(len(bv.ct.words[bop][0])); got != want {
 		t.Errorf("bitvector k=1 Free work = %d, want %d words", got, want)
 	}
 }

@@ -194,7 +194,7 @@ func TestFirstFreeQuick(t *testing.T) {
 
 // TestCheckWorkBeyondTable is the work-accounting regression test for the
 // linear bitvector check: a probe whose words all fall beyond the
-// reserved table must charge exactly one work unit — the comparison that
+// table's width must charge exactly one work unit — the comparison that
 // discovered the out-of-range word — not zero and not one per remaining
 // word, so CheckPerCall stays the paper's per-probed-word metric on both
 // the linear and the modulo path.
@@ -213,11 +213,11 @@ func TestCheckWorkBeyondTable(t *testing.T) {
 	if opB < 0 {
 		t.Fatal("figure1 has no op B")
 	}
-	words := b.WordsPerOp(opB, 0)
+	words := len(b.ct.words[opB][0])
 	if words < 2 {
 		t.Fatalf("op B packs into %d words, need >= 2 for the regression", words)
 	}
-	far := len(b.reserved)*b.k + 5
+	far := b.linWords*b.k + 5
 
 	w0 := b.ctr.CheckWork
 	if !b.Check(opB, far) {

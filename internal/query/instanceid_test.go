@@ -54,7 +54,7 @@ func TestBitvectorInstanceIDRange(t *testing.T) {
 		op := e.OpIndex("B")
 		b.AssignFree(op, 10, 6) // disjoint from cycle 0; optimistic, no owner fields yet
 		moduleKeepsMaxID(t, "bitvector", b, op)
-		if !b.UpdateMode() {
+		if !b.updateMode {
 			t.Fatalf("bitvector ii=%d: conflicting AssignFree did not enter update mode", ii)
 		}
 	}

@@ -176,26 +176,14 @@ func (c *Counters) TotalWork() int64 {
 	return c.CheckWork + c.AssignWork + c.AssignFreeWork + c.FreeWork
 }
 
-// PerCall returns average work units per call for each function; zero
-// calls yield zero.
-func avg(work, calls int64) float64 {
-	if calls == 0 {
+// CheckPerCall returns average work units per Check call; zero calls
+// yield zero.
+func (c *Counters) CheckPerCall() float64 {
+	if c.CheckCalls == 0 {
 		return 0
 	}
-	return float64(work) / float64(calls)
+	return float64(c.CheckWork) / float64(c.CheckCalls)
 }
-
-// CheckPerCall returns average work units per Check call.
-func (c *Counters) CheckPerCall() float64 { return avg(c.CheckWork, c.CheckCalls) }
-
-// AssignPerCall returns average work units per Assign call.
-func (c *Counters) AssignPerCall() float64 { return avg(c.AssignWork, c.AssignCalls) }
-
-// AssignFreePerCall returns average work units per AssignFree call.
-func (c *Counters) AssignFreePerCall() float64 { return avg(c.AssignFreeWork, c.AssignFreeCalls) }
-
-// FreePerCall returns average work units per Free call.
-func (c *Counters) FreePerCall() float64 { return avg(c.FreeWork, c.FreeCalls) }
 
 // instance records where a scheduled instance lives, for eviction and for
 // the bitvector module's update-mode rebuild.

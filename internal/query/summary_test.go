@@ -26,32 +26,31 @@ func newBitvectors(t *testing.T, e *resmodel.Expanded, ii int) map[string]*Bitve
 	return out
 }
 
-// checkOccInvariant verifies the occupancy summary's defining property:
-// bit w of occ is set iff word w of the backing table is non-zero.
+// checkOccInvariant verifies the any-busy summary's defining property:
+// bit p of the summary row is the OR of bit p over every resource row,
+// and each column's busy count is the number of resources busy there.
 func checkOccInvariant(t *testing.T, name string, b *Bitvector) {
 	t.Helper()
-	backing := b.reserved
-	if b.ii > 0 {
-		backing = b.mirror
-	}
-	for wi, word := range backing {
-		got := b.occ[wi>>6]&(1<<uint(wi&63)) != 0
-		if got != (word != 0) {
-			t.Fatalf("%s: occ invariant broken at word %d: word=%#x, summary bit %v",
-				name, wi, word, got)
+	occ := b.rows[b.nRes*b.rowW : (b.nRes+1)*b.rowW]
+	for p := 0; p < 64*b.rowW; p++ {
+		n := 0
+		for r := 0; r < b.nRes; r++ {
+			if b.busyAt(r, p) {
+				n++
+			}
 		}
-	}
-	for wi := len(backing); wi < 64*len(b.occ); wi++ {
-		if b.occ[wi>>6]&(1<<uint(wi&63)) != 0 {
-			t.Fatalf("%s: occ bit set for word %d beyond the %d-word table",
-				name, wi, len(backing))
+		if got := occ[p>>6]>>uint(p&63)&1 == 1; got != (n > 0) {
+			t.Fatalf("%s: summary bit %d is %v, %d resources busy", name, p, got, n)
+		}
+		if p < len(b.nBusy) && int(b.nBusy[p]) != n {
+			t.Fatalf("%s: busy count of column %d is %d, %d resources busy", name, p, b.nBusy[p], n)
 		}
 	}
 }
 
 // TestOccupancySummaryInvariant drives random Assign/Free/AssignFree/
 // range-query sequences over linear and modulo tables and re-derives the
-// summary bitmap from the backing words after every mutation.
+// summary row from the resource rows after every mutation.
 func TestOccupancySummaryInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for mi := 0; mi < 8; mi++ {

@@ -2,33 +2,33 @@ package query
 
 import "math/bits"
 
-// Bit-parallel candidate-verdict scans: the bitvector module's one
+// The verdict rows: the bitvector module's flag state and its one
 // range-scan path.
 //
-// Instead of probing candidate cycles one at a time, the scan reads
-// across them. Alongside the packed table the module maintains rows —
-// one plain cycle-bitmap per resource, bit t set iff the resource is
-// busy at cycle t — and answers 64 candidates per usage with one
-// unaligned 64-bit window read: for a scan starting at t0, resource r
-// busy at candidate t0+i iff rows[r] bit (t0+u.Cycle)+i is set. ORing
-// the window reads of all usages yields a verdict word whose bit i is
-// set iff candidate t0+i conflicts; the first free candidate is one
+// rows holds one plain cycle-bitmap per resource, bit t set iff the
+// resource is busy at cycle t, and nothing else holds the flags. Check
+// and the writes reach them usage by usage, grouped by the charge
+// table's packed words so work is counted per word (bitvector.go). The
+// range scans read across them: instead of probing candidate cycles one
+// at a time, a scan answers 64 candidates per usage with one unaligned
+// 64-bit window read. For a scan starting at t0, resource r is busy at
+// candidate t0+i iff rows[r] bit (t0+u.Cycle)+i is set. ORing the window
+// reads of all usages yields a verdict word whose bit i is set iff
+// candidate t0+i conflicts; the first free candidate is one
 // TrailingZeros64 of its complement.
 //
 // Modulo tables replicate each busy column into three images — bit p set
-// iff busy(p mod II) for p in [0, 3*II) — so any window read a scan can
-// issue (start s+u.Cycle <= 2*II-2, plus up to II-1 candidate offsets)
-// stays in bounds without wraparound handling, the same trick the
-// two-image mirror plays for single-candidate windows. Linear tables map
-// bit t to cycle t directly and grow in step with the reserved words;
-// reads beyond the maintained width clamp to zero, matching the
-// "beyond the table is free" semantics of Check.
+// iff busy(p mod II) for p in [0, 3*II) — so any read a query can issue
+// (a folded cycle plus a folded usage offset stays below 2*II-1, plus up
+// to II-1 candidate offsets for a scan) stays in bounds without
+// wraparound handling. Linear tables map bit t to cycle t directly and
+// grow with linWords; reads beyond the maintained width clamp to zero,
+// matching the "beyond the table is free" semantics of Check.
 //
-// The rows slab is redundant state derived from the same mutations that
-// maintain mirror/reserved (every write goes through orCycle/andNotCycle
-// or the five linear word-write sites, each of which updates rows in the
-// same breath), so rows bit (p) == busy(p mod II) holds at every
-// observable point — pinned by TestVerdictRowsInvariant.
+// Every flag write goes through set or clear, which keep all images, the
+// per-column busy count and the any-busy summary row in step — pinned
+// against a Discrete twin by TestVerdictRowsInvariant and against the
+// OR of the rows by checkOccInvariant.
 //
 // Accounting: the verdict decides where to stop, the centralized
 // RangeProbes/RangeProbesAlt arithmetic decides what to charge, so
@@ -62,69 +62,126 @@ func (b *Bitvector) rowWindow(r, o int) uint64 {
 	return v
 }
 
-// --- rows maintenance (called from every mirror/reserved mutation) ---
+// --- rows maintenance: every flag write ---
 
-// rowsOrCycleMod marks MRT cycle t (in [0, II)) busy for every resource
-// in resBits, maintaining all three images.
-func (b *Bitvector) rowsOrCycleMod(t int, resBits uint64) {
-	lim := 3 * b.ii
-	for m := resBits; m != 0; m &= m - 1 {
-		r := bits.TrailingZeros64(m)
-		row := b.rows[r*b.rowW : (r+1)*b.rowW]
-		for p := t; p < lim; p += b.ii {
-			row[p>>6] |= 1 << uint(p&63)
+// busyAt reads the flag of resource r at cycle t: an MRT cycle in
+// [0, 3*II), or a linear cycle at or after the entry. Cycles beyond the
+// maintained width read free.
+func (b *Bitvector) busyAt(r, t int) bool {
+	w := t >> 6
+	return w < b.rowW && b.rows[r*b.rowW+w]>>uint(t&63)&1 != 0
+}
+
+// set marks resource r busy at cycle t, and clear marks it free: t is an
+// MRT cycle in [0, 2*II), or a linear cycle at or after the entry, and a
+// linear set grows the table to cover it. Both are idempotent, and the
+// any-busy summary row flips only when a column's busy count moves
+// between 0 and 1.
+func (b *Bitvector) set(r, t int) {
+	if b.ii > 0 {
+		if t >= b.ii {
+			t -= b.ii
+		}
+	} else if t >= b.linWords*b.k {
+		b.grow(t)
+	}
+	if b.busyAt(r, t) {
+		return
+	}
+	b.flip(r, t)
+	if b.nBusy[t]++; b.nBusy[t] == 1 {
+		b.flip(b.nRes, t)
+	}
+}
+
+func (b *Bitvector) clear(r, t int) {
+	if b.ii > 0 && t >= b.ii {
+		t -= b.ii
+	}
+	if !b.busyAt(r, t) {
+		return
+	}
+	b.flip(r, t)
+	if b.nBusy[t]--; b.nBusy[t] == 0 {
+		b.flip(b.nRes, t)
+	}
+}
+
+// flip toggles row r's bit for column t (an MRT cycle in [0, II), or a
+// linear cycle) in every image.
+func (b *Bitvector) flip(r, t int) {
+	row := b.rows[r*b.rowW : (r+1)*b.rowW]
+	if b.ii == 0 {
+		row[t>>6] ^= 1 << uint(t&63)
+		return
+	}
+	for p := t; p < 3*b.ii; p += b.ii {
+		row[p>>6] ^= 1 << uint(p&63)
+	}
+}
+
+// grow doubles a linear table's width in words until it covers cycle t,
+// extending the busy counts and re-laying every row out at the new
+// stride when the rows need more words.
+func (b *Bitvector) grow(t int) {
+	n := b.linWords
+	for n*b.k <= t {
+		n *= 2
+	}
+	b.linWords = n
+	nBusy := make([]uint8, n*b.k)
+	copy(nBusy, b.nBusy)
+	b.nBusy = nBusy
+	if need := (n*b.k+63)/64 + 1; need > b.rowW {
+		rows := make([]uint64, (b.nRes+1)*need)
+		for r := 0; r <= b.nRes; r++ {
+			copy(rows[r*need:], b.rows[r*b.rowW:(r+1)*b.rowW])
+		}
+		b.rows, b.rowW = rows, need
+	}
+}
+
+// anyBusy reports whether any cycle in [lo, hi] is busy on some
+// resource, reading only the summary row.
+func (b *Bitvector) anyBusy(lo, hi int) bool {
+	row := b.rows[b.nRes*b.rowW : (b.nRes+1)*b.rowW]
+	w1, w2 := lo>>6, hi>>6
+	headMask := ^uint64(0) << uint(lo&63)
+	tailMask := ^uint64(0) >> uint(63-(hi&63))
+	if w1 == w2 {
+		return row[w1]&headMask&tailMask != 0
+	}
+	if row[w1]&headMask != 0 {
+		return true
+	}
+	for w := w1 + 1; w < w2; w++ {
+		if row[w] != 0 {
+			return true
 		}
 	}
-}
-
-func (b *Bitvector) rowsAndNotCycleMod(t int, resBits uint64) {
-	lim := 3 * b.ii
-	for m := resBits; m != 0; m &= m - 1 {
-		r := bits.TrailingZeros64(m)
-		row := b.rows[r*b.rowW : (r+1)*b.rowW]
-		for p := t; p < lim; p += b.ii {
-			row[p>>6] &^= 1 << uint(p&63)
-		}
-	}
-}
-
-// rowsOrWordLin mirrors an OR of w into linear reserved word wi: each set
-// bit p of w is cycle wi*k + p/nRes of resource p%nRes.
-func (b *Bitvector) rowsOrWordLin(wi int, w uint64) {
-	for m := w; m != 0; m &= m - 1 {
-		p := bits.TrailingZeros64(m)
-		cyc := wi*b.k + p/b.nRes
-		b.rows[(p%b.nRes)*b.rowW+(cyc>>6)] |= 1 << uint(cyc&63)
-	}
-}
-
-func (b *Bitvector) rowsAndNotWordLin(wi int, w uint64) {
-	for m := w; m != 0; m &= m - 1 {
-		p := bits.TrailingZeros64(m)
-		cyc := wi*b.k + p/b.nRes
-		b.rows[(p%b.nRes)*b.rowW+(cyc>>6)] &^= 1 << uint(cyc&63)
-	}
+	return row[w2]&tailMask != 0
 }
 
 // --- verdict scans ---
 
 // windowEmpty reports whether the whole resource window [base,
-// base+maxUse] is unreserved, consulting only the occupancy summary.
-// base is an MRT cycle in [0, II) for modulo tables (the window then ends
-// at most at cycle 2*II-2, inside the mirror), an absolute cycle for
-// linear ones (words beyond the table are trivially free).
+// base+maxUse] lies in packed words holding no busy cycle, consulting
+// only the summary row. The decision is the packed table's, word by
+// word, so the skips Table 6 sees are the packed representation's: every
+// cycle of the words base and base+maxUse fall in counts, up to cycle
+// 2*II-1 on a modulo table (base is an MRT cycle in [0, II)) and up to
+// the table's width on a linear one (words beyond it are trivially free).
 func (b *Bitvector) windowEmpty(base, maxUse int) bool {
-	loW := base / b.k
-	hiW := (base + maxUse) / b.k
+	lo := base / b.k * b.k
+	hi := ((base+maxUse)/b.k+1)*b.k - 1
+	lim := 2*b.ii - 1
 	if b.ii == 0 {
-		if hiW >= len(b.reserved) {
-			hiW = len(b.reserved) - 1
-		}
-		if loW > hiW {
-			return true
-		}
+		lim = b.linWords*b.k - 1
 	}
-	return !b.occAny(loW, hiW)
+	if hi > lim {
+		hi = lim
+	}
+	return lo > hi || !b.anyBusy(lo, hi)
 }
 
 // flushVerdict credits a verdict scan's locally accumulated counters.
@@ -139,7 +196,7 @@ func (b *Bitvector) flushVerdict(work, words, skips int64) {
 // word. Callers guarantee op is not self-conflicting and (for modulo
 // tables) L <= II, so every row offset a block reads stays under 3*II.
 //
-// Each block first consults the occupancy summary on the block's first
+// Each block first consults the summary row on the block's first
 // candidate window (ops with at least two usages): an all-zero window
 // proves that candidate free, so the block answers its first candidate
 // for one work unit — strictly cheaper than the >= 2 window reads the

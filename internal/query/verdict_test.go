@@ -9,13 +9,57 @@ import (
 	"repro/internal/resmodel"
 )
 
-// rowsMatchFlags verifies the verdict-row invariant: every maintained
-// row bit equals the reserved-flags occupancy the module itself reports
-// through reservedBit — bit p of resource r's row is busy(p mod II) on
-// modulo tables (three images over [0, 3*II)) and busy(p) on linear
-// ones, with everything beyond the written region zero.
-func rowsMatchFlags(t *testing.T, b *Bitvector, ctx string) {
+// twinned drives a Discrete twin through every mutation of a bitvector,
+// so the bitvector's rows can be checked against the cells the twin
+// owns. Queries go to the bitvector alone.
+type twinned struct {
+	*Bitvector
+	d *Discrete
+}
+
+func newTwinned(t testing.TB, e *resmodel.Expanded, k, ii int) twinned {
 	t.Helper()
+	b, err := NewBitvector(e, k, 64, ii)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twinned{b, NewDiscrete(e, ii)}
+}
+
+func (m twinned) Assign(op, cycle, id int) {
+	m.Bitvector.Assign(op, cycle, id)
+	m.d.Assign(op, cycle, id)
+}
+
+func (m twinned) AssignFree(op, cycle, id int) []int {
+	m.d.AssignFree(op, cycle, id)
+	return m.Bitvector.AssignFree(op, cycle, id)
+}
+
+func (m twinned) Free(op, cycle, id int) {
+	m.Bitvector.Free(op, cycle, id)
+	m.d.Free(op, cycle, id)
+}
+
+func (m twinned) Reset() {
+	m.Bitvector.Reset()
+	m.d.Reset()
+}
+
+func (m twinned) SeedDangling(ds []Dangling) error {
+	if err := m.d.SeedDangling(ds); err != nil {
+		return err
+	}
+	return m.Bitvector.SeedDangling(ds)
+}
+
+// rowsMatchFlags verifies that the rows are the reserved table: bit p of
+// resource r's row is set iff the Discrete twin's cell of r at p mod II
+// is owned, in all three images over [0, 3*II) on modulo tables, and at
+// p on linear ones, with everything beyond zero.
+func rowsMatchFlags(t *testing.T, m twinned, ctx string) {
+	t.Helper()
+	b := m.Bitvector
 	lim := b.rowW * 64
 	if b.ii > 0 {
 		lim = 3 * b.ii
@@ -23,10 +67,14 @@ func rowsMatchFlags(t *testing.T, b *Bitvector, ctx string) {
 	for r := 0; r < b.nRes; r++ {
 		row := b.rows[r*b.rowW : (r+1)*b.rowW]
 		for p := 0; p < b.rowW*64; p++ {
+			col := p
+			if b.ii > 0 {
+				col = p % b.ii
+			}
 			got := row[p>>6]>>(p&63)&1 == 1
-			want := p < lim && b.reservedBit(r, p)
+			want := p < lim && m.d.tab.get(r, col) >= 0
 			if got != want {
-				t.Fatalf("%s: resource %d position %d: row bit %v, reserved flag %v", ctx, r, p, got, want)
+				t.Fatalf("%s: resource %d position %d: row bit %v, twin cell owned %v", ctx, r, p, got, want)
 			}
 		}
 	}
@@ -34,28 +82,25 @@ func rowsMatchFlags(t *testing.T, b *Bitvector, ctx string) {
 
 // TestVerdictRowsInvariant drives random mutation sequences — checked
 // assigns, frees, evicting assign&frees, resets, and linear growth far
-// past the initial table — through every row-maintenance chokepoint and
-// re-verifies rows == flags after each step, on linear tables (with and
-// without dangling boundary seeds) and modulo tables over random
+// past the initial table — through every flag write and re-verifies the
+// rows against a Discrete twin after each step, on linear tables (with
+// and without dangling boundary seeds) and modulo tables over random
 // machines.
 func TestVerdictRowsInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for mi := 0; mi < 10; mi++ {
 		e := resmodel.Random(rng, resmodel.DefaultRandomConfig()).Expand()
 		for _, ii := range []int{0, 1 + rng.Intn(8)} {
-			b, err := NewBitvector(e, MaxCyclesPerWord(len(e.Resources), 64), 64, ii)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := newTwinned(t, e, MaxCyclesPerWord(len(e.Resources), 64), ii)
 			if ii == 0 && mi%2 == 0 {
-				if err := b.SeedDangling([]Dangling{{Op: rng.Intn(len(e.Ops)), IssueCycle: -1, ID: 900}}); err != nil {
+				if err := m.SeedDangling([]Dangling{{Op: rng.Intn(len(e.Ops)), IssueCycle: -1, ID: 900}}); err != nil {
 					t.Fatal(err)
 				}
-				rowsMatchFlags(t, b, fmt.Sprintf("machine %d ii=%d after SeedDangling", mi, ii))
+				rowsMatchFlags(t, m, fmt.Sprintf("machine %d ii=%d after SeedDangling", mi, ii))
 			}
 			live := map[int][2]int{}
 			id := 0
-			span := 64 // exercises growWords on linear tables
+			span := 64 // grows linear tables
 			if ii > 0 {
 				span = 3 * ii
 			}
@@ -64,15 +109,15 @@ func TestVerdictRowsInvariant(t *testing.T) {
 				switch r := rng.Intn(10); {
 				case r < 5:
 					op, cyc := rng.Intn(len(e.Ops)), rng.Intn(span)
-					if b.Schedulable(op) && b.Check(op, cyc) {
-						b.Assign(op, cyc, id)
+					if m.Schedulable(op) && m.Check(op, cyc) {
+						m.Assign(op, cyc, id)
 						live[id] = [2]int{op, cyc}
 						id++
 					}
 				case r < 7:
 					op, cyc := rng.Intn(len(e.Ops)), rng.Intn(span)
-					if b.Schedulable(op) {
-						for _, ev := range b.AssignFree(op, cyc, id) {
+					if m.Schedulable(op) {
+						for _, ev := range m.AssignFree(op, cyc, id) {
 							delete(live, ev)
 						}
 						live[id] = [2]int{op, cyc}
@@ -80,15 +125,15 @@ func TestVerdictRowsInvariant(t *testing.T) {
 					}
 				case r < 9:
 					for fid, in := range live {
-						b.Free(in[0], in[1], fid)
+						m.Free(in[0], in[1], fid)
 						delete(live, fid)
 						break
 					}
 				default:
-					b.Reset()
+					m.Reset()
 					live = map[int][2]int{}
 				}
-				rowsMatchFlags(t, b, ctx)
+				rowsMatchFlags(t, m, ctx)
 			}
 		}
 	}
