@@ -133,8 +133,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/mdl/
 
 # End-to-end daemon smoke: build cmd/mdserve, boot it on an ephemeral
-# port, run one reduce + one batch + a metrics scrape over real TCP, then
-# SIGTERM and require a clean drain. Build-tagged so plain `go test`
+# port, run one reduce + one batch + a session (stream and /ops) + a
+# metrics scrape over real TCP, require serve.<route>.requests and
+# .latency for reduce, batch, session ops and stream, then SIGTERM and
+# require a clean drain. Build-tagged so plain `go test`
 # skips it.
 serve-smoke:
 	$(GO) test -tags smoke -run '^TestServeSmoke$$' -count=1 ./internal/serve/

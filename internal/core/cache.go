@@ -1,18 +1,18 @@
 package core
 
 import (
-	"container/list"
 	"encoding/binary"
 	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/resmodel"
 )
 
-// Fingerprint returns the FNV-1a content hash of the canonicalized
+// fingerprint returns the FNV-1a content hash of the canonicalized
 // expanded machine description: operation count, resource count, and for
 // every operation its latency, original-operation index, alternative
 // index, and reservation-table usages sorted by (resource, cycle), plus
@@ -20,7 +20,7 @@ import (
 // descriptions that generate the same forbidden-latency matrix inputs
 // hash equally regardless of labeling — so the hash keys reductions by
 // scheduling-relevant content only.
-func Fingerprint(e *resmodel.Expanded) uint64 {
+func fingerprint(e *resmodel.Expanded) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	wi := func(v int) {
@@ -71,12 +71,12 @@ type cacheKey struct {
 // cacheEntry memoizes one reduction. The sync.Once serializes concurrent
 // first requests for the same key (classic singleflight), so a machine is
 // reduced at most once per entry lifetime even when tables race for it.
-// The entry carries its key so eviction can unlink it from the index.
 type cacheEntry struct {
-	key  cacheKey
 	once sync.Once
 	res  *Result
 }
+
+func newCacheEntry() *cacheEntry { return new(cacheEntry) }
 
 // Cache is a content-keyed, capacity-bounded LRU memo of completed
 // reductions. Reducing a machine is orders of magnitude more expensive
@@ -97,11 +97,11 @@ type cacheEntry struct {
 // Cached Results are shared: callers must treat them (including Reduced,
 // ReducedClass and ClassTables) as read-only, which every consumer in
 // this repository already does.
+//
+// The index is the shared LRU table (internal/lru), whose atomic
+// get-or-insert makes a hit one lock, one map lookup and one list move.
 type Cache struct {
-	mu        sync.Mutex
-	capacity  int // <= 0: unbounded
-	entries   map[cacheKey]*list.Element
-	lru       *list.List // front = most recently used; values are *cacheEntry
+	entries   *lru.Table[cacheKey, *cacheEntry]
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -119,11 +119,7 @@ func NewCache() *Cache { return NewCacheLRU(0) }
 // NewCacheLRU returns an empty reduction cache holding at most capacity
 // entries (capacity <= 0 means unbounded).
 func NewCacheLRU(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		entries:  map[cacheKey]*list.Element{},
-		lru:      list.New(),
-	}
+	return &Cache{entries: lru.New[cacheKey, *cacheEntry](capacity)}
 }
 
 // DefaultCache is the process-wide reduction cache used by CachedReduce,
@@ -144,18 +140,14 @@ func (c *Cache) Reduce(e *resmodel.Expanded, obj Objective, _ int) *Result {
 // served from cache (true) or computed by this call's singleflight
 // (false). Exactly one request per entry lifetime reports a miss.
 func (c *Cache) ReduceTracked(e *resmodel.Expanded, obj Objective) (*Result, bool) {
-	key := cacheKey{fp: Fingerprint(e), kind: obj.Kind, k: obj.K}
-	c.mu.Lock()
-	var ent *cacheEntry
-	if el := c.entries[key]; el != nil {
-		c.lru.MoveToFront(el)
-		ent = el.Value.(*cacheEntry)
-	} else {
-		ent = &cacheEntry{key: key}
-		c.entries[key] = c.lru.PushFront(ent)
-		c.evictOverflowLocked()
+	// Evicting an entry whose reduction is still in flight is safe: its
+	// waiters hold the entry pointer and complete normally; the index
+	// simply forgets the key.
+	ent, _, evicted := c.entries.GetOrPut(cacheKey{fp: fingerprint(e), kind: obj.Kind, k: obj.K}, newCacheEntry)
+	if evicted > 0 {
+		c.evictions.Add(int64(evicted))
+		obs.Add("core.cache.evictions", int64(evicted))
 	}
-	c.mu.Unlock()
 	hit := true
 	ent.once.Do(func() {
 		hit = false
@@ -173,35 +165,8 @@ func (c *Cache) ReduceTracked(e *resmodel.Expanded, obj Objective) (*Result, boo
 	return ent.res, hit
 }
 
-// evictOverflowLocked drops least-recently-used entries until the cache
-// respects its capacity. Must be called with c.mu held. Evicting an
-// entry whose reduction is still in flight is safe: its waiters hold the
-// entry pointer and complete normally; the index simply forgets the key.
-func (c *Cache) evictOverflowLocked() {
-	for c.capacity > 0 && c.lru.Len() > c.capacity {
-		el := c.lru.Back()
-		ent := c.lru.Remove(el).(*cacheEntry)
-		delete(c.entries, ent.key)
-		c.evictions.Add(1)
-		obs.Inc("core.cache.evictions")
-	}
-}
-
 // Capacity returns the configured capacity (<= 0 means unbounded).
-func (c *Cache) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
-}
-
-// SetCapacity changes the capacity, immediately evicting LRU entries if
-// the cache is over the new bound. capacity <= 0 removes the bound.
-func (c *Cache) SetCapacity(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	c.evictOverflowLocked()
-}
+func (c *Cache) Capacity() int { return c.entries.Cap() }
 
 // Stats returns the hit and miss counts so far. Every Reduce call is
 // exactly one hit or one miss, so hits+misses equals total calls; each
@@ -215,11 +180,7 @@ func (c *Cache) Stats() (hits, misses int64) {
 func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 
 // Len returns the number of resident cached reductions.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.entries.Len() }
 
 // CachedReduce reduces through the process-wide DefaultCache.
 func CachedReduce(e *resmodel.Expanded, obj Objective) *Result {

@@ -14,7 +14,7 @@ import (
 // and operations does not change it, changing a usage cycle does).
 func TestFingerprintStableAndNameBlind(t *testing.T) {
 	m := machines.Cydra5()
-	if Fingerprint(m.Expand()) != Fingerprint(m.Expand()) {
+	if fingerprint(m.Expand()) != fingerprint(m.Expand()) {
 		t.Fatal("fingerprint differs across fresh expansions of the same machine")
 	}
 
@@ -27,10 +27,10 @@ func TestFingerprintStableAndNameBlind(t *testing.T) {
 	base := build("a", "x", "y", "A", 0)
 	renamed := build("b", "left", "right", "Zed", 0)
 	shifted := build("a", "x", "y", "A", 1)
-	if Fingerprint(base) != Fingerprint(renamed) {
+	if fingerprint(base) != fingerprint(renamed) {
 		t.Error("fingerprint depends on names; want content-only hashing")
 	}
-	if Fingerprint(base) == Fingerprint(shifted) {
+	if fingerprint(base) == fingerprint(shifted) {
 		t.Error("fingerprint ignores a usage-cycle change")
 	}
 }

@@ -22,7 +22,7 @@ func distinctRandomMachines(t *testing.T, n int) []*resmodel.Expanded {
 			t.Fatalf("could not generate %d distinct machines", n)
 		}
 		e := resmodel.Random(rng, resmodel.DefaultRandomConfig()).Expand()
-		fp := Fingerprint(e)
+		fp := fingerprint(e)
 		if seen[fp] {
 			continue
 		}
@@ -42,7 +42,7 @@ type reductionShape struct {
 
 func shapeOf(r *Result) reductionShape {
 	return reductionShape{
-		reducedFP:    Fingerprint(r.Reduced),
+		reducedFP:    fingerprint(r.Reduced),
 		numResources: r.NumResources(),
 		numUsages:    r.NumUsages(),
 	}
@@ -116,8 +116,7 @@ func TestCacheLRURaceAndReconcile(t *testing.T) {
 
 // TestCacheCapacityBound is the regression test for the formerly
 // unbounded process-wide cache: resident entries never exceed the
-// configured capacity, LRU order decides who is evicted, and
-// SetCapacity shrinks immediately.
+// configured capacity and LRU order decides who is evicted.
 func TestCacheCapacityBound(t *testing.T) {
 	const capacity = 3
 	es := distinctRandomMachines(t, 8)
@@ -147,18 +146,6 @@ func TestCacheCapacityBound(t *testing.T) {
 	}
 	if _, hit := c.ReduceTracked(es[6], obj); hit {
 		t.Error("LRU entry survived eviction ahead of a recently-touched one")
-	}
-
-	c.SetCapacity(1)
-	if c.Len() > 1 {
-		t.Errorf("SetCapacity(1) left %d resident entries", c.Len())
-	}
-	c.SetCapacity(0)
-	for _, e := range es {
-		c.Reduce(e, obj, 1)
-	}
-	if c.Len() != len(es) {
-		t.Errorf("unbounded cache holds %d entries after %d distinct machines", c.Len(), len(es))
 	}
 }
 

@@ -7,15 +7,15 @@ import (
 
 // Gate is a concurrency-limiting admission gate: a counting semaphore
 // whose Acquire honours context cancellation. Long-running servers
-// (cmd/mdserve) admit at most Cap() requests into the expensive
+// (cmd/mdserve) admit at most n (NewGate's argument) requests into the expensive
 // reduce/query paths at once; excess requests wait until a slot frees or
 // their deadline expires, bounding both CPU oversubscription and the
 // peak memory of concurrently-built query modules.
 //
 // Long-lived holders (streaming query sessions, which keep a slot for
 // the whole conversation rather than one request) are admitted through
-// AcquireStream, which draws from a reserved sub-quota of StreamCap()
-// slots: streams can never occupy every slot, so one-shot requests
+// AcquireStream, which draws from a reserved sub-quota of n-1 slots
+// (floored at 1): streams can never occupy every slot, so one-shot requests
 // cannot be starved by an arbitrary number of open streams, and the gate
 // accounts for them separately (Streams()).
 type Gate struct {
@@ -64,17 +64,7 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot if one is immediately free.
-func (g *Gate) TryAcquire() bool {
-	select {
-	case g.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire. Releasing a slot
+// Release frees a slot taken by Acquire. Releasing a slot
 // that was never acquired is a programming error and panics.
 func (g *Gate) Release() {
 	select {
@@ -85,7 +75,7 @@ func (g *Gate) Release() {
 }
 
 // AcquireStream admits a long-lived holder: it blocks until both a
-// stream slot (of the StreamCap() reserved sub-quota) and a regular slot
+// stream slot (of the reserved sub-quota) and a regular slot
 // are free, or ctx is done, returning ctx.Err() in the latter case.
 // Release with ReleaseStream.
 func (g *Gate) AcquireStream(ctx context.Context) error {
@@ -117,13 +107,6 @@ func (g *Gate) ReleaseStream() {
 	g.Release()
 	<-g.streamSlots
 }
-
-// Cap returns the number of concurrent holders the gate admits.
-func (g *Gate) Cap() int { return cap(g.slots) }
-
-// StreamCap returns the number of concurrent long-lived holders the gate
-// admits: Cap()-1 (so streams can never occupy every slot), floored at 1.
-func (g *Gate) StreamCap() int { return cap(g.streamSlots) }
 
 // InFlight returns the number of slots currently held.
 func (g *Gate) InFlight() int { return len(g.slots) }

@@ -8,22 +8,28 @@ import (
 	"time"
 )
 
-func TestGateCapAndTryAcquire(t *testing.T) {
+// expired returns an already-cancelled context: Acquire and
+// AcquireStream still take a free slot under it (the fast path) but
+// return at once when none is free.
+func expired() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+func TestGateAdmitsUpToCapacity(t *testing.T) {
 	g := NewGate(2)
-	if g.Cap() != 2 {
-		t.Fatalf("Cap() = %d, want 2", g.Cap())
-	}
-	if !g.TryAcquire() || !g.TryAcquire() {
+	if g.Acquire(expired()) != nil || g.Acquire(expired()) != nil {
 		t.Fatal("could not take the two free slots")
 	}
-	if g.TryAcquire() {
-		t.Fatal("TryAcquire succeeded beyond capacity")
+	if g.Acquire(expired()) == nil {
+		t.Fatal("Acquire succeeded beyond capacity")
 	}
 	if g.InFlight() != 2 {
 		t.Fatalf("InFlight() = %d, want 2", g.InFlight())
 	}
 	g.Release()
-	if !g.TryAcquire() {
+	if g.Acquire(expired()) != nil {
 		t.Fatal("released slot not reusable")
 	}
 	g.Release()
@@ -97,19 +103,19 @@ func TestGateBoundsConcurrency(t *testing.T) {
 }
 
 func TestGateClampsCapacity(t *testing.T) {
-	if got := NewGate(0).Cap(); got != 1 {
-		t.Fatalf("NewGate(0).Cap() = %d, want 1", got)
-	}
-	if got := NewGate(-5).Cap(); got != 1 {
-		t.Fatalf("NewGate(-5).Cap() = %d, want 1", got)
+	for _, n := range []int{0, -5} {
+		g := NewGate(n)
+		if g.Acquire(expired()) != nil {
+			t.Fatalf("NewGate(%d) admits nothing, want one holder", n)
+		}
+		if g.Acquire(expired()) == nil {
+			t.Fatalf("NewGate(%d) admits a second holder, want one", n)
+		}
 	}
 }
 
 func TestGateStreamQuotaLeavesOneShotSlot(t *testing.T) {
 	g := NewGate(3)
-	if g.StreamCap() != 2 {
-		t.Fatalf("StreamCap() = %d, want 2", g.StreamCap())
-	}
 	ctx := context.Background()
 	if err := g.AcquireStream(ctx); err != nil {
 		t.Fatal(err)
@@ -128,7 +134,7 @@ func TestGateStreamQuotaLeavesOneShotSlot(t *testing.T) {
 		t.Fatalf("third stream: err=%v, want deadline exceeded", err)
 	}
 	// ...and that regular slot is still available to a one-shot request.
-	if !g.TryAcquire() {
+	if g.Acquire(expired()) != nil {
 		t.Fatal("streams starved the reserved one-shot slot")
 	}
 	g.Release()
@@ -143,7 +149,7 @@ func TestGateStreamBlockedOnRegularSlotReleasesQuota(t *testing.T) {
 	// With every regular slot held by one-shots, a stream acquire must
 	// fail at the deadline and give its stream-quota slot back.
 	g := NewGate(2)
-	if !g.TryAcquire() || !g.TryAcquire() {
+	if g.Acquire(expired()) != nil || g.Acquire(expired()) != nil {
 		t.Fatal("could not fill the gate")
 	}
 	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -152,8 +158,8 @@ func TestGateStreamBlockedOnRegularSlotReleasesQuota(t *testing.T) {
 		t.Fatalf("stream on full gate: err=%v, want deadline exceeded", err)
 	}
 	g.Release()
-	// The failed acquire must not leak its stream slot: StreamCap() is 1
-	// here, so a leak would make this acquire hang.
+	// The failed acquire must not leak its stream slot: a 2-slot gate
+	// reserves one stream slot, so a leak would make this acquire hang.
 	ok, cancel2 := context.WithTimeout(context.Background(), time.Second)
 	defer cancel2()
 	if err := g.AcquireStream(ok); err != nil {
@@ -174,11 +180,11 @@ func TestGateReleaseStreamWithoutAcquirePanics(t *testing.T) {
 
 func TestGateSingleSlotStillAdmitsStreams(t *testing.T) {
 	g := NewGate(1)
-	if g.StreamCap() != 1 {
-		t.Fatalf("StreamCap() = %d, want 1", g.StreamCap())
-	}
 	if err := g.AcquireStream(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if g.AcquireStream(expired()) == nil {
+		t.Fatal("a 1-slot gate admitted a second stream")
 	}
 	g.ReleaseStream()
 }

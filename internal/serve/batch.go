@@ -1,11 +1,12 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/ddg"
 	"repro/internal/obs"
@@ -108,13 +109,18 @@ type BatchResult struct {
 // BatchResponse is the body of a successful POST /v1/batch. Backend is
 // the concrete backend that served the batch — equal to Representation
 // when one was pinned, the rule's choice under "auto".
-type BatchResponse struct {
+type BatchResponse = batchResponse[[]BatchResult]
+
+// batchResponse is the batch response over the type of its results:
+// clients decode BatchResponse, the server writes
+// batchResponse[json.RawMessage] holding runOps' encoded array.
+type batchResponse[R any] struct {
 	Machine        string         `json:"machine"`
 	Use            string         `json:"use"`
 	Representation string         `json:"representation"`
 	Backend        string         `json:"backend"`
 	II             int            `json:"ii"`
-	Results        []BatchResult  `json:"results"`
+	Results        R              `json:"results"`
 	Counters       query.Counters `json:"counters"`
 }
 
@@ -148,43 +154,50 @@ func (me *machineEntry) machineFor(use string) *resmodel.Machine {
 	if use == "original" {
 		return me.src
 	}
-	return me.red.Reduced.Machine()
+	return me.redM
 }
 
 // buildModule validates the module configuration of a batch or session
-// request and constructs a fresh query module over the selected
-// description variant through query.Select, so every representation —
-// including "auto" — is served by the same chokepoint. It returns the
-// normalized use/representation strings (defaults applied) alongside
-// the selection; every invalid configuration maps to a 4xx httpError.
-func (s *Server) buildModule(me *machineEntry, use, rep string, k, wordBits, ii int) (
-	e *resmodel.Expanded, sel *query.Selection, useOut, repOut string, herr *httpError) {
+// request and returns the executor over a fresh module of the selected
+// description variant. The module comes from query.Select under the one
+// policy the executor keeps for its schedule ops, so every
+// representation — including "auto" — is served by the same chokepoint.
+// The executor records the normalized use and representation (defaults
+// applied); every invalid configuration maps to a 4xx httpError.
+func (s *Server) buildModule(me *machineEntry, use, rep string, k, wordBits, ii int) (*opExec, *httpError) {
 	switch use {
 	case "":
 		use = "reduced"
 	case "reduced", "original":
 	default:
-		return nil, nil, "", "", errf(http.StatusBadRequest, "bad use %q (want reduced or original)", use)
+		return nil, errf(http.StatusBadRequest, "bad use %q (want reduced or original)", use)
 	}
-	e = me.expandedFor(use)
-
 	if ii < 0 || ii > s.cfg.MaxCycle {
-		return nil, nil, "", "", errf(http.StatusBadRequest, "ii %d out of range [0, %d]", ii, s.cfg.MaxCycle)
+		return nil, errf(http.StatusBadRequest, "ii %d out of range [0, %d]", ii, s.cfg.MaxCycle)
 	}
-
 	switch rep {
 	case "":
 		rep = "discrete"
 	case "discrete", "bitvector", "auto":
 	default:
-		return nil, nil, "", "", errf(http.StatusBadRequest,
-			"bad representation %q (want discrete, bitvector or auto)", rep)
+		return nil, errf(http.StatusBadRequest, "bad representation %q (want discrete, bitvector or auto)", rep)
 	}
-	sel, err := query.Select(e, query.Policy{Representation: rep, II: ii, K: k, WordBits: wordBits})
+	e := me.expandedFor(use)
+	pol := query.Policy{Representation: rep, II: ii, K: k, WordBits: wordBits}
+	sel, err := query.Select(e, pol)
 	if err != nil {
-		return nil, nil, "", "", errf(http.StatusBadRequest, "%v", err)
+		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
-	return e, sel, use, rep, nil
+	return &opExec{
+		use:      use,
+		e:        e,
+		m:        me.machineFor(use),
+		mod:      sel.Module,
+		backend:  sel.Backend,
+		pol:      pol,
+		maxCycle: s.cfg.MaxCycle,
+		live:     map[int]placed{},
+	}, nil
 }
 
 // placed records where a live instance was scheduled so frees and id
@@ -194,10 +207,8 @@ type placed struct{ op, cycle int }
 
 // opResult is the value-typed answer to one op, filled in place by
 // opExec.exec so the steady state of a long-lived session allocates
-// nothing per op. Convert with toBatchResult (batch responses, which
-// need stable per-result pointers) or appendJSON (NDJSON streaming,
-// which marshals immediately and byte-identically to
-// json.Marshal(BatchResult)).
+// nothing per op. appendJSON is its one encoder: batch and /ops result
+// arrays and NDJSON stream lines alike.
 type opResult struct {
 	hasOK, ok bool
 	hasAlt    bool
@@ -217,49 +228,10 @@ type opResult struct {
 
 func (r *opResult) reset() { *r = opResult{} }
 
-// toBatchResult detaches the result into the wire struct, allocating
-// fresh pointer cells and copying the slices.
-func (r *opResult) toBatchResult() BatchResult {
-	var out BatchResult
-	if r.hasOK {
-		ok := r.ok
-		out.OK = &ok
-	}
-	if r.hasAlt {
-		v := r.alt
-		out.AltOp = &v
-	}
-	if r.hasCycle {
-		v := r.cycle
-		out.Cycle = &v
-	}
-	if len(r.evicted) > 0 {
-		out.Evicted = append([]int(nil), r.evicted...)
-	}
-	if r.hasSched {
-		if r.ok {
-			v := r.ii
-			out.II = &v
-		}
-		v := r.mii
-		out.MII = &v
-	}
-	if r.hasProven {
-		p, fb := r.proven, r.fallback
-		out.Proven = &p
-		out.Fallback = &fb
-	}
-	if r.hasSched && r.ok {
-		out.Times = append([]int(nil), r.times...)
-		out.Alts = append([]int(nil), r.alts...)
-	}
-	return out
-}
-
 // appendJSON appends the result's JSON encoding to b, byte-identical to
 // json.Marshal of the equivalent BatchResult (same field order, same
 // omitempty behaviour) without allocating. TestOpResultJSONMatchesMarshal
-// pins the equivalence.
+// pins the equivalence; BatchResult is the schema clients decode.
 func (r *opResult) appendJSON(b []byte) []byte {
 	b = append(b, '{')
 	first := true
@@ -351,32 +323,19 @@ func appendIntList(b []byte, first *bool, key string, vs []int) []byte {
 // linear cycles, assign-on-conflict, free of unknown instances); the
 // fuzz harness pins this.
 type opExec struct {
-	e        *resmodel.Expanded
-	m        *resmodel.Machine // e's machine, for the schedule op's MII bounds
+	use      string             // "reduced" or "original"
+	e        *resmodel.Expanded // the description variant under use
+	m        *resmodel.Machine  // e's machine, for the schedule op's MII bounds
 	mod      query.Module
 	backend  string       // concrete backend serving mod
 	pol      query.Policy // module policy; schedule-op arenas re-select per II
-	ii       int
 	maxCycle int
 	live     map[int]placed
-	// sa is the schedule op's arena (lazily built): per-II modules over
-	// e selected under pol, reused across the executor's schedule ops.
-	// It is independent of mod — a schedule op never touches the
-	// session's partial MRT.
+	// sa serves the schedule op and is built on its first use: it holds
+	// per-II modules over e selected under pol, reused across the
+	// executor's schedule ops. sa is independent of mod — a schedule op
+	// never touches the session's partial MRT.
 	sa *sched.Arena
-}
-
-func newOpExec(e *resmodel.Expanded, m *resmodel.Machine, sel *query.Selection, pol query.Policy, maxCycle int) *opExec {
-	return &opExec{
-		e:        e,
-		m:        m,
-		mod:      sel.Module,
-		backend:  sel.Backend,
-		pol:      pol,
-		ii:       pol.II,
-		maxCycle: maxCycle,
-		live:     map[int]placed{},
-	}
 }
 
 // Schedule-op caps: small enough that the worst-case request (dense
@@ -475,7 +434,7 @@ func (x *opExec) execSchedule(i int, op *BatchOp, res *opResult) *httpError {
 
 // checkCycle validates one scheduling cycle under the table's cycle cap.
 func (x *opExec) checkCycle(i, cycle int) *httpError {
-	if x.ii > 0 {
+	if x.pol.II > 0 {
 		if cycle < -maxModuloCycle || cycle > maxModuloCycle {
 			return errf(http.StatusBadRequest, "op %d: cycle %d out of range on modulo table", i, cycle)
 		}
@@ -495,7 +454,7 @@ func (x *opExec) checkRange(i int, op *BatchOp) *httpError {
 		return errf(http.StatusBadRequest, "op %d: empty cycle range [%d, %d]", i, op.Lo, op.Hi)
 	}
 	for _, c := range [2]int{op.Lo, op.Hi} {
-		if x.ii > 0 {
+		if x.pol.II > 0 {
 			if c < -maxModuloCycle || c > maxModuloCycle {
 				return errf(http.StatusBadRequest, "op %d: range bound %d out of range on modulo table", i, c)
 			}
@@ -589,12 +548,11 @@ func (x *opExec) exec(i int, op *BatchOp, res *opResult) *httpError {
 			return errf(http.StatusBadRequest, "op %d: instance id %d already scheduled", i, op.ID)
 		}
 		if !x.mod.Schedulable(op.Op) {
-			return errf(http.StatusConflict, "op %d: op %d is unschedulable at II=%d", i, op.Op, x.ii)
+			return errf(http.StatusConflict, "op %d: op %d is unschedulable at II=%d", i, op.Op, x.pol.II)
 		}
 		ev := x.mod.AssignFree(op.Op, op.Cycle, op.ID)
-		// ev is module-owned scratch, valid until the next module call;
-		// consumers that retain results past this op must copy it
-		// (toBatchResult does).
+		// ev is module-owned scratch, valid until the next module call:
+		// encode the result before the next op.
 		res.evicted = ev
 		for _, id := range ev {
 			delete(x.live, id)
@@ -638,9 +596,6 @@ func checkID(i, id int) *httpError {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("serve.batch.requests")
-	start := time.Now()
-	defer func() { obs.Observe("serve.batch.latency", time.Since(start).Microseconds()) }()
 	var req BatchRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -650,49 +605,53 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown machine %q (register it via /v1/reduce)", req.Machine))
 		return
 	}
-	resp, herr := s.execBatch(r, me, &req)
+	if len(req.Ops) > s.cfg.MaxBatchOps {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch has %d ops, limit %d", len(req.Ops), s.cfg.MaxBatchOps))
+		return
+	}
+	x, herr := s.buildModule(me, req.Use, req.Representation, req.K, req.WordBits, req.II)
+	if herr != nil {
+		writeErr(w, herr.status, herr.msg)
+		return
+	}
+	results, herr := runOps(r.Context(), x, req.Ops)
 	if herr != nil {
 		writeErr(w, herr.status, herr.msg)
 		return
 	}
 	obs.Add("serve.batch.ops", int64(len(req.Ops)))
 	obs.Observe("serve.batch.size", int64(len(req.Ops)))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// execBatch validates and runs one batch on a fresh module.
-func (s *Server) execBatch(r *http.Request, me *machineEntry, req *BatchRequest) (*BatchResponse, *httpError) {
-	if len(req.Ops) > s.cfg.MaxBatchOps {
-		return nil, errf(http.StatusBadRequest, "batch has %d ops, limit %d", len(req.Ops), s.cfg.MaxBatchOps)
-	}
-	e, sel, use, rep, herr := s.buildModule(me, req.Use, req.Representation, req.K, req.WordBits, req.II)
-	if herr != nil {
-		return nil, herr
-	}
-	pol := query.Policy{Representation: rep, II: req.II, K: req.K, WordBits: req.WordBits}
-	x := newOpExec(e, me.machineFor(use), sel, pol, s.cfg.MaxCycle)
-	results := make([]BatchResult, 0, len(req.Ops))
-	var res opResult
-	for i := range req.Ops {
-		// A long batch re-checks its deadline periodically so a drained
-		// or timed-out request stops doing work.
-		if i&0x1ff == 0 {
-			if err := r.Context().Err(); err != nil {
-				return nil, errf(http.StatusServiceUnavailable, "request deadline exceeded at op %d of %d", i, len(req.Ops))
-			}
-		}
-		if herr := x.exec(i, &req.Ops[i], &res); herr != nil {
-			return nil, herr
-		}
-		results = append(results, res.toBatchResult())
-	}
-	return &BatchResponse{
+	writeJSON(w, http.StatusOK, &batchResponse[json.RawMessage]{
 		Machine:        me.name,
-		Use:            use,
-		Representation: rep,
+		Use:            x.use,
+		Representation: x.pol.Representation,
 		Backend:        x.backend,
-		II:             req.II,
+		II:             x.pol.II,
 		Results:        results,
 		Counters:       *x.mod.Counters(),
-	}, nil
+	})
+}
+
+// runOps is the one op loop of /v1/batch and session /ops: it executes
+// ops in order on x and encodes each result with appendJSON into one
+// JSON array. A long request re-checks its deadline every 512 ops, so a
+// drained or timed-out request stops doing work. On an error the ops
+// before the failing one stay applied to x's module.
+func runOps(ctx context.Context, x *opExec, ops []BatchOp) (json.RawMessage, *httpError) {
+	b := make([]byte, 1, 2+16*len(ops))
+	b[0] = '['
+	var res opResult
+	for i := range ops {
+		if i&0x1ff == 0 && ctx.Err() != nil {
+			return nil, errf(http.StatusServiceUnavailable, "request deadline exceeded at op %d of %d", i, len(ops))
+		}
+		if herr := x.exec(i, &ops[i], &res); herr != nil {
+			return nil, herr
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = res.appendJSON(b)
+	}
+	return append(b, ']'), nil
 }

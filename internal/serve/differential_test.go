@@ -25,7 +25,7 @@ type batchCase struct {
 	ii             int
 }
 
-// localModule builds the same module execBatch would for the case,
+// localModule builds the same module buildModule would for the case,
 // through the same selection chokepoint. A nil return means the pinned
 // backend cannot serve this description (a bitvector whose packing does
 // not fit the word); callers skip the case, mirroring the server's 400.

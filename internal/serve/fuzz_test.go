@@ -16,7 +16,7 @@ import (
 // the handler never panics and never returns 5xx — every malformed or
 // semantically invalid body is answered with a 4xx and a JSON error
 // body. (The query modules themselves panic on contract violations such
-// as negative linear cycles or assigning over a conflict; execBatch must
+// as negative linear cycles or assigning over a conflict; opExec.exec must
 // pre-validate everything so no input on the wire can reach them.)
 func FuzzServeBatchDecode(f *testing.F) {
 	s := New(Config{})

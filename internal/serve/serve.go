@@ -30,18 +30,21 @@
 //	GET  /v1/metrics   internal/obs snapshot of the whole process.
 //	GET  /healthz      liveness plus cache/registry/session shape.
 //
-// The machine registry and the session table are LRU tables (see
-// registry.go): both are capacity-bounded, so unique-name reduce
+// The machine registry and the session table are LRU tables (the
+// shared internal/lru table, as is the reduction cache): both are capacity-bounded, so unique-name reduce
 // spam or session-open spam evicts oldest entries instead of growing
 // the process without limit. Idle sessions additionally expire after a
 // TTL.
 //
-// The expensive endpoints (/v1/reduce, /v1/batch, session create/ops)
-// are guarded by a concurrency-limiting admission gate (parallel.Gate)
-// and a per-request deadline; requests that cannot be admitted before
-// their deadline get 429. Streams are admitted through the gate's
-// reserved stream sub-quota so open conversations can never starve
-// one-shot requests. Request bodies are size-capped. Errors are JSON
+// The expensive endpoints (/v1/reduce, /v1/batch, session create, ops
+// and stream) pass through one route wrapper (route): it counts and
+// times each request (serve.<route>.requests and .latency), sets the
+// per-request deadline, admits it through a concurrency-limiting gate
+// (parallel.Gate) or answers 429, and caps the body. Streams are
+// admitted through the gate's reserved stream sub-quota so open
+// conversations can never starve one-shot requests. Batches and session
+// ops share one op loop (runOps) and every result is written by one
+// encoder (opResult.appendJSON). Errors are JSON
 // {"error": "..."} with a 4xx status for every malformed or
 // semantically invalid request — the server never panics on client
 // input (pinned by FuzzServeBatchDecode).
@@ -61,6 +64,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/mdl"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -147,12 +151,14 @@ func (c Config) withDefaults() Config {
 }
 
 // machineEntry is one registered machine description: the parsed
-// machine, its expansion, and its verified reduction.
+// machine, its expansion, its verified reduction and the reduction's
+// machine (built once here, not per request, for the schedule op).
 type machineEntry struct {
 	name     string
 	src      *resmodel.Machine
 	expanded *resmodel.Expanded
 	red      *core.Result
+	redM     *resmodel.Machine
 }
 
 // Server holds the machine registry, the scheduling-session table, the
@@ -168,11 +174,11 @@ type Server struct {
 	// from it — sessions and in-flight batches keep their pointers; the
 	// registry simply forgets the name (exactly the reduction cache's
 	// eviction contract).
-	machines *lruTable[*machineEntry]
+	machines *lru.Table[string, *machineEntry]
 	// sessions is the bounded table of open scheduling
 	// sessions, LRU-evicted beyond MaxSessions and TTL-expired when
 	// idle.
-	sessions   *lruTable[*Session]
+	sessions   *lru.Table[string, *Session]
 	sessionSeq atomic.Uint64
 
 	// now is the session clock, swappable by tests so TTL expiry is
@@ -188,24 +194,14 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		cache:    core.NewCacheLRU(cfg.CacheCapacity),
 		gate:     parallel.NewGate(cfg.MaxInFlight),
-		machines: newLRUTable[*machineEntry](cfg.MaxMachines),
-		sessions: newLRUTable[*Session](cfg.MaxSessions),
+		machines: lru.New[string, *machineEntry](cfg.MaxMachines),
+		sessions: lru.New[string, *Session](cfg.MaxSessions),
 		now:      time.Now,
 	}
 }
 
 // Cache exposes the server's reduction LRU (for stats and tests).
 func (s *Server) Cache() *core.Cache { return s.cache }
-
-// putMachine is the single insert path into the machine registry, used
-// by both Register and handleReduce so the registry semantics — LRU
-// position, capacity eviction, the serve.registry.evictions counter —
-// cannot diverge between the two entry points.
-func (s *Server) putMachine(me *machineEntry) {
-	for range s.machines.put(me.name, me) {
-		obs.Inc("serve.registry.evictions")
-	}
-}
 
 // Register compiles and registers a machine under name (the machine's
 // own name if empty), reducing it through the server's cache. Used by
@@ -218,60 +214,95 @@ func (s *Server) Register(name string, m *resmodel.Machine, obj core.Objective) 
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	me, _, err := s.register(name, m, obj)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	return me.red, nil
+}
+
+// register is the one path into the machine registry, shared by
+// Register and /v1/reduce: expand m, reduce it through the cache
+// (hit reports a cache hit), verify the reduction and file it under
+// name (m's own name if empty). One path keeps the registry semantics —
+// LRU position, capacity eviction, the serve.registry.evictions
+// counter — from diverging between the two entry points.
+func (s *Server) register(name string, m *resmodel.Machine, obj core.Objective) (me *machineEntry, hit bool, err error) {
 	if name == "" {
 		name = m.Name
 	}
 	e := m.Expand()
-	red, _ := s.cache.ReduceTracked(e, obj)
+	red, hit := s.cache.ReduceTracked(e, obj)
 	if err := red.Verify(); err != nil {
-		return nil, fmt.Errorf("serve: reduction failed verification: %w", err)
+		// Unreachable by construction (the reduction theorem); surfaced
+		// rather than swallowed in case of an implementation bug.
+		return nil, hit, fmt.Errorf("reduction failed verification: %w", err)
 	}
-	s.putMachine(&machineEntry{name: name, src: m, expanded: e, red: red})
-	return red, nil
+	me = &machineEntry{name: name, src: m, expanded: e, red: red, redM: red.Reduced.Machine()}
+	if n := s.machines.Put(name, me); n > 0 {
+		obs.Add("serve.registry.evictions", int64(n))
+	}
+	return me, hit, nil
 }
 
 // lookup returns the named machine entry (marking it most recently
 // used), or nil.
 func (s *Server) lookup(name string) *machineEntry {
-	me, ok := s.machines.get(name)
-	if !ok {
-		return nil
-	}
+	me, _ := s.machines.Get(name)
 	return me
 }
 
 // Handler returns the server's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/reduce", s.admit(s.handleReduce))
-	mux.HandleFunc("POST /v1/batch", s.admit(s.handleBatch))
-	mux.HandleFunc("POST /v1/sessions", s.admit(s.handleSessionCreate))
+	mux.HandleFunc("POST /v1/reduce", s.route("reduce", false, s.handleReduce))
+	mux.HandleFunc("POST /v1/batch", s.route("batch", false, s.handleBatch))
+	mux.HandleFunc("POST /v1/sessions", s.route("sessions.create", false, s.handleSessionCreate))
 	mux.HandleFunc("GET /v1/sessions", s.handleSessionList)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionInfo)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	mux.HandleFunc("POST /v1/sessions/{id}/ops", s.admit(s.handleSessionOps))
-	mux.HandleFunc("POST /v1/sessions/{id}/stream", s.handleSessionStream)
+	mux.HandleFunc("POST /v1/sessions/{id}/ops", s.route("session.ops", false, s.handleSessionOps))
+	mux.HandleFunc("POST /v1/sessions/{id}/stream", s.route("stream", true, s.handleSessionStream))
 	mux.HandleFunc("GET /v1/machines", s.handleMachines)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
-// admit wraps an expensive handler with the per-request deadline, the
-// admission gate and the body-size cap. A request that cannot take a
-// gate slot before its deadline is rejected with 429 — the service sheds
-// load instead of queueing unboundedly.
-func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
+// route is the one request boundary of the expensive endpoints. It
+// counts serve.<name>.requests and times the whole request, admission
+// wait included, into serve.<name>.latency (microseconds); sets the
+// per-request deadline; takes a gate slot before that deadline, a slot
+// of the reserved stream sub-quota when stream is set, or answers 429
+// (the service sheds load instead of queueing unboundedly); caps the
+// request body; and, for a stream, sets the connection's read deadline
+// to the request deadline.
+func (s *Server) route(name string, stream bool, h http.HandlerFunc) http.HandlerFunc {
+	requests, latency := "serve."+name+".requests", "serve."+name+".latency"
+	acquire, release, refusal := s.gate.Acquire, s.gate.Release, "server at capacity: admission deadline exceeded"
+	if stream {
+		acquire, release, refusal = s.gate.AcquireStream, s.gate.ReleaseStream, "server at capacity: stream admission deadline exceeded"
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
+		obs.Inc(requests)
+		start := time.Now()
+		defer func() { obs.Observe(latency, time.Since(start).Microseconds()) }()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		if err := s.gate.Acquire(ctx); err != nil {
+		if err := acquire(ctx); err != nil {
 			obs.Inc("serve.rejected")
-			writeErr(w, http.StatusTooManyRequests, "server at capacity: admission deadline exceeded")
+			writeErr(w, http.StatusTooManyRequests, refusal)
 			return
 		}
-		defer s.gate.Release()
+		defer release()
 		obs.Inc("serve.admitted")
+		if stream {
+			// A stream reads its body while it answers; the request
+			// deadline also bounds those reads, so a stalled body cannot
+			// hold the slot and the session lock until the client leaves.
+			dl, _ := ctx.Deadline()
+			http.NewResponseController(w).SetReadDeadline(dl)
+		}
 		r = r.WithContext(ctx)
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		h(w, r)
@@ -309,9 +340,6 @@ type ReduceResponse struct {
 }
 
 func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("serve.reduce.requests")
-	start := time.Now()
-	defer func() { obs.Observe("serve.reduce.latency", time.Since(start).Microseconds()) }()
 	var req ReduceRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -334,28 +362,21 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "request deadline exceeded before reduction")
 		return
 	}
-	name := req.Name
-	if name == "" {
-		name = m.Name
-	}
-	e := m.Expand()
-	red, hit := s.cache.ReduceTracked(e, obj)
-	if err := red.Verify(); err != nil {
-		// Unreachable by construction (the reduction theorem); surfaced
-		// rather than swallowed in case of an implementation bug.
-		writeErr(w, http.StatusInternalServerError, fmt.Sprintf("reduction failed verification: %v", err))
+	me, hit, err := s.register(req.Name, m, obj)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.putMachine(&machineEntry{name: name, src: m, expanded: e, red: red})
 	if hit {
 		obs.Inc("serve.reduce.cache_hits")
 	}
+	red := me.red
 	origUses := 0
-	for _, o := range e.Ops {
+	for _, o := range me.expanded.Ops {
 		origUses += len(o.Table.Uses)
 	}
 	writeJSON(w, http.StatusOK, &ReduceResponse{
-		Name:               name,
+		Name:               me.name,
 		CacheHit:           hit,
 		Objective:          obj.String(),
 		Resources:          len(m.Resources),
@@ -363,7 +384,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		Usages:             origUses,
 		ReducedUsages:      red.NumUsages(),
 		Ops:                len(m.Ops),
-		ExpandedOps:        len(e.Ops),
+		ExpandedOps:        len(me.expanded.Ops),
 		Classes:            red.Classes.NumClasses(),
 		GenSetSize:         red.GenSetSize,
 		PrunedSize:         red.PrunedSize,
@@ -384,10 +405,9 @@ type MachineInfo struct {
 }
 
 func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
-	items := s.machines.items()
-	infos := make([]MachineInfo, 0, len(items))
-	for _, it := range items {
-		me := it.val
+	entries := s.machines.Values()
+	infos := make([]MachineInfo, 0, len(entries))
+	for _, me := range entries {
 		infos = append(infos, MachineInfo{
 			Name:             me.name,
 			Resources:        len(me.src.Resources),
@@ -413,13 +433,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hits, misses := s.cache.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":       true,
-		"machines": s.machines.len(),
+		"machines": s.machines.Len(),
 		"registry": map[string]any{
-			"resident": s.machines.len(),
+			"resident": s.machines.Len(),
 			"capacity": s.cfg.MaxMachines,
 		},
 		"sessions": map[string]any{
-			"resident": s.sessions.len(),
+			"resident": s.sessions.Len(),
 			"capacity": s.cfg.MaxSessions,
 			"ttl_ms":   s.cfg.SessionTTL.Milliseconds(),
 		},

@@ -259,11 +259,11 @@ func TestBatchStopsAtDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodPost, "/v1/batch", nil).WithContext(ctx)
-	_, herr := s.execBatch(req, s.lookup("ex"), &BatchRequest{
-		Machine: "ex",
-		Ops:     []BatchOp{{Fn: "check"}},
-	})
+	x, herr := s.buildModule(s.lookup("ex"), "", "", 0, 0, 0)
+	if herr != nil {
+		t.Fatal(herr.msg)
+	}
+	_, herr = runOps(ctx, x, []BatchOp{{Fn: "check"}})
 	if herr == nil || herr.status != http.StatusServiceUnavailable {
 		t.Fatalf("expired-context batch: %+v, want 503", herr)
 	}

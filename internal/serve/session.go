@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -26,14 +27,12 @@ import (
 type Session struct {
 	id      string
 	machine string
-	use     string
-	rep     string
-	ii      int
 
 	// lock is a context-aware mutex: one buffered slot, held for the
 	// duration of each ops/stream request touching the session.
 	lock chan struct{}
-	// x (the op executor: module, live instances) is guarded by lock.
+	// x (the op executor: module, live instances) is guarded by lock;
+	// its use, policy and backend are fixed at creation.
 	x *opExec
 
 	// ops counts executed ops; lastUse is the idle clock (unix nanos),
@@ -108,9 +107,13 @@ type SessionOpsRequest struct {
 // work-unit accounting since creation. On a 4xx mid-request, ops before
 // the failing one remain applied (the session is stateful; the error
 // body names the failing op index).
-type SessionOpsResponse struct {
+type SessionOpsResponse = sessionOpsResponse[[]BatchResult]
+
+// sessionOpsResponse is the ops response over the type of its results,
+// as batchResponse is for batches.
+type sessionOpsResponse[R any] struct {
 	SessionID string         `json:"session_id"`
-	Results   []BatchResult  `json:"results"`
+	Results   R              `json:"results"`
 	Counters  query.Counters `json:"counters"`
 }
 
@@ -118,10 +121,10 @@ func (sess *Session) info(includeCounters bool, now time.Time) SessionInfo {
 	si := SessionInfo{
 		SessionID:      sess.id,
 		Machine:        sess.machine,
-		Use:            sess.use,
-		Representation: sess.rep,
+		Use:            sess.x.use,
+		Representation: sess.x.pol.Representation,
 		Backend:        sess.x.backend,
-		II:             sess.ii,
+		II:             sess.x.pol.II,
 		Ops:            sess.ops.Load(),
 		IdleMS:         (now.UnixNano() - sess.lastUse.Load()) / int64(time.Millisecond),
 	}
@@ -144,10 +147,8 @@ func (s *Server) expireSessions() {
 		return
 	}
 	deadline := s.now().Add(-ttl).UnixNano()
-	for range s.sessions.removeIf(func(_ string, sess *Session) bool {
-		return sess.lastUse.Load() < deadline
-	}) {
-		obs.Inc("serve.sessions.expired")
+	if n := s.sessions.RemoveIf(func(sess *Session) bool { return sess.lastUse.Load() < deadline }); n > 0 {
+		obs.Add("serve.sessions.expired", int64(n))
 	}
 }
 
@@ -155,13 +156,13 @@ func (s *Server) expireSessions() {
 // a session found idle past the TTL is removed and reported as 410 Gone
 // (vs 404 for an id that was never, or is no longer, resident).
 func (s *Server) lookupSession(id string) (*Session, *httpError) {
-	sess, ok := s.sessions.get(id)
+	sess, ok := s.sessions.Get(id)
 	if !ok {
 		return nil, errf(http.StatusNotFound, "unknown session %q (open one via POST /v1/sessions)", id)
 	}
 	if ttl := s.cfg.SessionTTL; ttl > 0 {
 		if s.now().UnixNano()-sess.lastUse.Load() > int64(ttl) {
-			if _, removed := s.sessions.remove(id); removed {
+			if _, removed := s.sessions.Remove(id); removed {
 				obs.Inc("serve.sessions.expired")
 			}
 			return nil, errf(http.StatusGone, "session %q expired after %s idle", id, ttl)
@@ -171,7 +172,6 @@ func (s *Server) lookupSession(id string) (*Session, *httpError) {
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("serve.sessions.create.requests")
 	var req SessionRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -181,26 +181,22 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown machine %q (register it via /v1/reduce)", req.Machine))
 		return
 	}
-	e, sel, use, rep, herr := s.buildModule(me, req.Use, req.Representation, req.K, req.WordBits, req.II)
+	x, herr := s.buildModule(me, req.Use, req.Representation, req.K, req.WordBits, req.II)
 	if herr != nil {
 		writeErr(w, herr.status, herr.msg)
 		return
 	}
 	s.expireSessions()
 	now := s.now()
-	pol := query.Policy{Representation: rep, II: req.II, K: req.K, WordBits: req.WordBits}
 	sess := &Session{
 		id:      fmt.Sprintf("s-%06d", s.sessionSeq.Add(1)),
 		machine: me.name,
-		use:     use,
-		rep:     rep,
-		ii:      req.II,
 		lock:    make(chan struct{}, 1),
-		x:       newOpExec(e, me.machineFor(use), sel, pol, s.cfg.MaxCycle),
+		x:       x,
 	}
 	sess.lastUse.Store(now.UnixNano())
-	for range s.sessions.put(sess.id, sess) {
-		obs.Inc("serve.sessions.evictions")
+	if n := s.sessions.Put(sess.id, sess); n > 0 {
+		obs.Add("serve.sessions.evictions", int64(n))
 	}
 	obs.Inc("serve.sessions.created")
 	writeJSON(w, http.StatusOK, sess.info(false, now))
@@ -209,10 +205,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	s.expireSessions()
 	now := s.now()
-	items := s.sessions.items()
-	infos := make([]SessionInfo, 0, len(items))
-	for _, it := range items {
-		infos = append(infos, it.val.info(false, now))
+	sessions := s.sessions.Values()
+	infos := make([]SessionInfo, 0, len(sessions))
+	for _, sess := range sessions {
+		infos = append(infos, sess.info(false, now))
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].SessionID < infos[j].SessionID })
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": infos})
@@ -237,7 +233,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sess, ok := s.sessions.remove(id)
+	sess, ok := s.sessions.Remove(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
 		return
@@ -249,9 +245,6 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionOps(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("serve.session.ops.requests")
-	start := time.Now()
-	defer func() { obs.Observe("serve.session.ops.latency", time.Since(start).Microseconds()) }()
 	var req SessionOpsRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -271,27 +264,15 @@ func (s *Server) handleSessionOps(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sess.release()
 
-	results := make([]BatchResult, 0, len(req.Ops))
-	var res opResult
-	for i := range req.Ops {
-		if i&0x1ff == 0 {
-			if err := r.Context().Err(); err != nil {
-				sess.touch(s.now())
-				writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("request deadline exceeded at op %d of %d", i, len(req.Ops)))
-				return
-			}
-		}
-		if herr := sess.x.exec(i, &req.Ops[i], &res); herr != nil {
-			sess.touch(s.now())
-			writeErr(w, herr.status, herr.msg)
-			return
-		}
-		results = append(results, res.toBatchResult())
+	results, herr := runOps(r.Context(), sess.x, req.Ops)
+	sess.touch(s.now())
+	if herr != nil {
+		writeErr(w, herr.status, herr.msg)
+		return
 	}
 	sess.ops.Add(int64(len(req.Ops)))
 	obs.Add("serve.session.ops", int64(len(req.Ops)))
-	sess.touch(s.now())
-	writeJSON(w, http.StatusOK, &SessionOpsResponse{
+	writeJSON(w, http.StatusOK, &sessionOpsResponse[json.RawMessage]{
 		SessionID: sess.id,
 		Results:   results,
 		Counters:  *sess.x.mod.Counters(),

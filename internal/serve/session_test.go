@@ -14,7 +14,6 @@ import (
 	"repro/internal/machines"
 	"repro/internal/mdl"
 	"repro/internal/obs"
-	"repro/internal/query"
 )
 
 func doReq(t *testing.T, h http.Handler, method, path string) *httptest.ResponseRecorder {
@@ -61,6 +60,46 @@ func TestOpResultJSONMatchesMarshal(t *testing.T) {
 			t.Errorf("case %d: appendJSON %s != json.Marshal %s", i, got, want)
 		}
 	}
+}
+
+// toBatchResult is the oracle of TestOpResultJSONMatchesMarshal: the
+// result detached into the wire struct, with fresh pointer cells and
+// copied slices, for encoding/json to marshal.
+func (r *opResult) toBatchResult() BatchResult {
+	var out BatchResult
+	if r.hasOK {
+		ok := r.ok
+		out.OK = &ok
+	}
+	if r.hasAlt {
+		v := r.alt
+		out.AltOp = &v
+	}
+	if r.hasCycle {
+		v := r.cycle
+		out.Cycle = &v
+	}
+	if len(r.evicted) > 0 {
+		out.Evicted = append([]int(nil), r.evicted...)
+	}
+	if r.hasSched {
+		if r.ok {
+			v := r.ii
+			out.II = &v
+		}
+		v := r.mii
+		out.MII = &v
+	}
+	if r.hasProven {
+		p, fb := r.proven, r.fallback
+		out.Proven = &p
+		out.Fallback = &fb
+	}
+	if r.hasSched && r.ok {
+		out.Times = append([]int(nil), r.times...)
+		out.Alts = append([]int(nil), r.alts...)
+	}
+	return out
 }
 
 func createSession(t *testing.T, h http.Handler, req SessionRequest) SessionInfo {
@@ -299,7 +338,7 @@ func TestSessionTableBounded(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		createSession(t, h2, SessionRequest{Machine: "ex"})
 	}
-	if got := s2.sessions.len(); got != 4 {
+	if got := s2.sessions.Len(); got != 4 {
 		t.Errorf("session table resident %d, want capacity 4", got)
 	}
 }
@@ -308,7 +347,7 @@ func TestSessionTableBounded(t *testing.T) {
 // this PR, Server's machine map grew without limit under unique-name
 // /v1/reduce spam. Now cap+N registrations keep residency <= cap,
 // oldest-evicted-first, counted by serve.registry.evictions — via both
-// insert paths (Register and the /v1/reduce handler share putMachine).
+// insert paths (Register and the /v1/reduce handler share register).
 func TestRegistryBounded(t *testing.T) {
 	obs.Default().SetEnabled(true)
 	defer obs.Default().SetEnabled(false)
@@ -371,7 +410,7 @@ func TestRegistryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s2.machines.len(); got != 4 {
+	if got := s2.machines.Len(); got != 4 {
 		t.Errorf("registry resident %d, want capacity 4", got)
 	}
 }
@@ -439,10 +478,10 @@ func TestSessionsConcurrentHammer(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if got, cap := s.sessions.len(), 6; got > cap {
+	if got, cap := s.sessions.Len(), 6; got > cap {
 		t.Errorf("session table resident %d > capacity %d after hammer", got, cap)
 	}
-	if got, cap := s.machines.len(), 4; got > cap {
+	if got, cap := s.machines.Len(), 4; got > cap {
 		t.Errorf("registry resident %d > capacity %d after hammer", got, cap)
 	}
 }
@@ -470,11 +509,10 @@ func TestSessionSteadyStateZeroAlloc(t *testing.T) {
 		{Fn: "free", Op: 0, Cycle: 0, ID: 3},
 	}
 	for _, rep := range []string{"discrete", "bitvector"} {
-		e, sel, _, repOut, herr := s.buildModule(me, "reduced", rep, 0, 0, 0)
+		x, herr := s.buildModule(me, "reduced", rep, 0, 0, 0)
 		if herr != nil {
 			t.Fatalf("%s: buildModule: %s", rep, herr.msg)
 		}
-		x := newOpExec(e, me.machineFor("reduced"), sel, query.Policy{Representation: repOut}, s.cfg.MaxCycle)
 		var res opResult
 		buf := make([]byte, 0, 256)
 		run := func() {

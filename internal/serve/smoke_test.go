@@ -14,13 +14,16 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestServeSmoke is the end-to-end smoke run behind `make serve-smoke`:
 // build the real mdserve binary, start it on an ephemeral port, drive
 // one reduce, one batch, a full scheduling-session conversation
-// (create, 100 streamed NDJSON ops, idle expiry) and one metrics
-// scrape over real TCP, then SIGTERM it and require a clean drain
+// (create, 100 streamed NDJSON ops, one /ops request, idle expiry) and
+// one metrics scrape that must show every wrapped route's request
+// counter and latency histogram over real TCP, then SIGTERM it and require a clean drain
 // (exit code 0). Build-tagged so `go test ./...` stays fast.
 func TestServeSmoke(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "mdserve")
@@ -158,6 +161,15 @@ op store latency 1 {
 		t.Fatalf("stream trailer: %s (err %v)", streamLines[streamOps], err)
 	}
 
+	// One /ops request on the same session over TCP.
+	var ops SessionOpsResponse
+	if err := json.Unmarshal(post("/v1/sessions/"+si.SessionID+"/ops", SessionOpsRequest{Ops: []BatchOp{{Fn: "check", Op: 0, Cycle: 0}}}), &ops); err != nil {
+		t.Fatalf("session ops response: %v", err)
+	}
+	if ops.SessionID != si.SessionID || len(ops.Results) != 1 || ops.Results[0].OK == nil {
+		t.Fatalf("implausible session ops response: %+v", ops)
+	}
+
 	// Idle past the 1s TTL the session expires: first probe sees
 	// 410 Gone (lazy expiry), after which the id is unknown.
 	time.Sleep(1200 * time.Millisecond)
@@ -182,8 +194,18 @@ op store latency 1 {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/metrics: status %d: %s", resp.StatusCode, snap)
 	}
-	if !bytes.Contains(snap, []byte("serve.reduce.requests")) {
-		t.Fatalf("metrics snapshot missing serve counters: %s", snap)
+	var metrics obs.Snapshot
+	if err := json.Unmarshal(snap, &metrics); err != nil {
+		t.Fatalf("metrics snapshot: %v", err)
+	}
+	// Every route through the request wrapper counts and times itself.
+	for _, route := range []string{"reduce", "batch", "session.ops", "stream"} {
+		if metrics.Counter("serve."+route+".requests") < 1 {
+			t.Errorf("metrics snapshot missing serve.%s.requests", route)
+		}
+		if h := metrics.Histogram("serve." + route + ".latency"); h == nil || h.Count < 1 {
+			t.Errorf("metrics snapshot missing serve.%s.latency", route)
+		}
 	}
 
 	// Clean shutdown: SIGTERM, drain, exit 0.

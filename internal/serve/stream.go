@@ -3,12 +3,12 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
+	"os"
 
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -32,29 +32,16 @@ import (
 //     {"done":true,"ops":N,"counters":{...}} line carrying the
 //     session's cumulative work-unit counters.
 //
-// Blank lines are skipped. The stream is deadline-gated (the server's
-// per-request deadline covers the whole conversation) and admitted
-// through the gate's reserved stream sub-quota (parallel.Gate
-// AcquireStream), so long conversations can never occupy every
-// admission slot. Execution is serialized per session; ops and results
-// are bounded by Config.MaxStreamOps and Config.MaxBodyBytes.
+// Blank lines are skipped. The route wrapper admits the stream through
+// the gate's reserved stream sub-quota (parallel.Gate AcquireStream), so
+// long conversations can never occupy every admission slot, and its
+// per-request deadline covers the whole conversation: an op that
+// arrives after it is not executed, and a body that stalls past it is
+// cut off by the connection's read deadline. Execution is serialized
+// per session; ops and results are bounded by Config.MaxStreamOps and
+// Config.MaxBodyBytes.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("serve.stream.requests")
-	start := time.Now()
-	defer func() { obs.Observe("serve.stream.latency", time.Since(start).Microseconds()) }()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	if err := s.gate.AcquireStream(ctx); err != nil {
-		obs.Inc("serve.rejected")
-		writeErr(w, http.StatusTooManyRequests, "server at capacity: stream admission deadline exceeded")
-		return
-	}
-	defer s.gate.ReleaseStream()
-	obs.Inc("serve.admitted")
-	r = r.WithContext(ctx)
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-
+	ctx := r.Context()
 	sess, herr := s.lookupSession(r.PathValue("id"))
 	if herr != nil {
 		writeErr(w, herr.status, herr.msg)
@@ -101,12 +88,12 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		errLine error
 	)
 	for {
-		if err := ctx.Err(); err != nil {
+		var line []byte
+		line, errLine = in.ReadBytes('\n')
+		if ctx.Err() != nil || errors.Is(errLine, os.ErrDeadlineExceeded) {
 			fail(n, fmt.Sprintf("request deadline exceeded at op %d", n))
 			return
 		}
-		var line []byte
-		line, errLine = in.ReadBytes('\n')
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			if errLine != nil {
