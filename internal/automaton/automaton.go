@@ -17,7 +17,6 @@ package automaton
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/resmodel"
 )
@@ -164,16 +163,6 @@ func (a *Automaton) NumStates() int { return len(a.advance) }
 // NumOps returns the number of operations the automaton recognizes.
 func (a *Automaton) NumOps() int { return a.numOps }
 
-// BitsPerState returns the storage needed to name one state (the paper's
-// comparison encodes each factored state in 8 bits; an unfactored
-// automaton needs ceil(log2(numStates)) bits).
-func (a *Automaton) BitsPerState() int {
-	if n := a.NumStates(); n > 1 {
-		return bits.Len(uint(n - 1))
-	}
-	return 1
-}
-
 // Walker traverses the automaton along a schedule, one cycle at a time.
 type Walker struct {
 	a   *Automaton
@@ -202,10 +191,3 @@ func (w *Walker) Issue(op int) bool {
 
 // Advance moves to the next cycle.
 func (w *Walker) Advance() { w.cur = w.a.advance[w.cur] }
-
-// State returns the current state id (for Bala–Rubin-style per-cycle
-// state storage).
-func (w *Walker) State() int32 { return w.cur }
-
-// SetState repositions the walker (restoring a stored per-cycle state).
-func (w *Walker) SetState(s int32) { w.cur = s }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -84,9 +85,15 @@ func TestFigure1MaximalResources(t *testing.T) {
 // the mixed resource discarded).
 func TestFigure3Trace(t *testing.T) {
 	e := figure1()
-	res := ReduceTraced(e, Objective{Kind: ResUses})
-	tr := res.Trace
-	if tr == nil || len(tr.Pairs) != 4 {
+	res, tr, str := tracedReduce(e)
+	steps := func(ss []TraceStep) []string {
+		out := make([]string, len(ss))
+		for i, st := range ss {
+			out[i] = fmt.Sprintf("%d: %s -> %s", st.Rule, str(st.Before), str(st.After))
+		}
+		return out
+	}
+	if len(tr.Pairs) != 4 {
 		t.Fatalf("trace pairs = %d, want 4", len(tr.Pairs))
 	}
 	// Pair order: (B,A,1), (B,B,1), (B,B,2), (B,B,3), using class indices.
@@ -99,28 +106,44 @@ func TestFigure3Trace(t *testing.T) {
 		}
 	}
 	// Step a: Rule 3 creates {B@0, A@1}.
-	if got := tr.Pairs[0].Steps; len(got) != 1 || got[0].Rule != Rule3 || got[0].After != "{B@0, A@1}" {
-		t.Errorf("step a = %+v, want Rule 3 creating {B@0, A@1}", got)
+	if got := tr.Pairs[0].Steps; len(got) != 1 || got[0].Rule != Rule3 || str(got[0].After) != "{B@0, A@1}" {
+		t.Errorf("step a = %v, want Rule 3 creating {B@0, A@1}", steps(got))
 	}
 	// Step b: bare-pair discard against {B@0, A@1}, then Rule 3 creates {B@0, B@1}.
 	sb := tr.Pairs[1].Steps
-	if len(sb) != 2 || sb[0].Rule != Rule2Discard || sb[1].Rule != Rule3 || sb[1].After != "{B@0, B@1}" {
-		t.Errorf("step b = %+v, want discard then Rule 3 {B@0, B@1}", sb)
+	if len(sb) != 2 || sb[0].Rule != Rule2Discard || sb[1].Rule != Rule3 || str(sb[1].After) != "{B@0, B@1}" {
+		t.Errorf("step b = %v, want discard then Rule 3 {B@0, B@1}", steps(sb))
 	}
 	// Step c: discard against resource 0, Rule 1 extends resource 1.
 	sc := tr.Pairs[2].Steps
-	if len(sc) != 2 || sc[0].Rule != Rule2Discard || sc[1].Rule != Rule1 || sc[1].After != "{B@0, B@1, B@2}" {
-		t.Errorf("step c = %+v, want discard then Rule 1 -> {B@0, B@1, B@2}", sc)
+	if len(sc) != 2 || sc[0].Rule != Rule2Discard || sc[1].Rule != Rule1 || str(sc[1].After) != "{B@0, B@1, B@2}" {
+		t.Errorf("step c = %v, want discard then Rule 1 -> {B@0, B@1, B@2}", steps(sc))
 	}
 	// Step d: discard, then Rule 1 -> {B@0, B@1, B@2, B@3}.
 	sd := tr.Pairs[3].Steps
-	if len(sd) != 2 || sd[1].Rule != Rule1 || sd[1].After != "{B@0, B@1, B@2, B@3}" {
-		t.Errorf("step d = %+v, want Rule 1 -> {B@0, B@1, B@2, B@3}", sd)
+	if len(sd) != 2 || sd[1].Rule != Rule1 || str(sd[1].After) != "{B@0, B@1, B@2, B@3}" {
+		t.Errorf("step d = %v, want Rule 1 -> {B@0, B@1, B@2, B@3}", steps(sd))
 	}
 	// Final generating set: exactly the two maximal resources.
 	if got := tr.Pairs[3].Set; len(got) != 2 {
-		t.Errorf("final generating set = %v, want 2 resources", got)
+		t.Errorf("final generating set has %d resources, want 2", len(got))
 	}
+}
+
+// tracedReduce reduces e and reruns Algorithm 1 on the reduction's class
+// matrix with a trace, as Figure 3 does. str renders a traced resource
+// with the class representatives' operation names, and nil as "".
+func tracedReduce(e *resmodel.Expanded) (*Result, *Trace, func(*Resource) string) {
+	res := Reduce(e, Objective{Kind: ResUses})
+	tr := &Trace{}
+	GeneratingSet(res.ClassMatrix, tr)
+	str := func(r *Resource) string {
+		if r == nil {
+			return ""
+		}
+		return r.StringWith(func(c int) string { return e.Ops[res.Classes.Rep[c]].Name })
+	}
+	return res, tr, str
 }
 
 // TestRule4 covers operations whose only forbidden latency is the trivial
@@ -412,12 +435,12 @@ func TestTraceRule2AndRule4Strings(t *testing.T) {
 	b.Op("Z", 1).Use("s", 2)
 	b.Op("W", 1).Use("q", 9) // far usage: keeps W in its own pairs
 	e := b.Build().Expand()
-	res := ReduceTraced(e, Objective{Kind: ResUses})
+	res, tr, _ := tracedReduce(e)
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	var rules []Rule
-	for _, pt := range res.Trace.Pairs {
+	for _, pt := range tr.Pairs {
 		for _, st := range pt.Steps {
 			rules = append(rules, st.Rule)
 		}
@@ -438,9 +461,9 @@ func TestTraceRule2AndRule4Strings(t *testing.T) {
 	b2.Resources("own")
 	b2.Op("solo", 1).Use("own", 0)
 	e2 := b2.Build().Expand()
-	res2 := ReduceTraced(e2, Objective{Kind: ResUses})
+	res2, tr2, _ := tracedReduce(e2)
 	found := false
-	for _, pt := range res2.Trace.Pairs {
+	for _, pt := range tr2.Pairs {
 		for _, st := range pt.Steps {
 			if st.Rule == Rule4 {
 				found = true

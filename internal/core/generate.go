@@ -45,27 +45,27 @@ func (r Rule) String() string {
 }
 
 // TraceStep records one rule application while processing one elementary
-// pair, for the Figure 3 rendering.
+// pair. The resources are immutable snapshots shared between steps and
+// sets while a resource is unchanged; Figure 3 renders them.
 type TraceStep struct {
 	Rule   Rule
-	Before string // resource the rule was applied against ("" for Rules 3/4)
-	After  string // resulting resource ("" when discarded)
+	Before *Resource // resource the rule was applied against (nil for Rules 3/4)
+	After  *Resource // resulting resource (nil when discarded)
 }
 
 // PairTrace records the processing of one elementary pair.
 type PairTrace struct {
 	Pair  ElemPair
 	Steps []TraceStep
-	// Set renders the full generating set after this pair was processed.
-	Set []string
+	// Set is the full generating set after this pair was processed.
+	Set []*Resource
 }
 
 // Trace captures the step-by-step execution of the generating-set
 // construction (Figure 3 of the paper). Pass nil to GeneratingSet to skip
 // trace collection.
 type Trace struct {
-	OpName func(int) string
-	Pairs  []PairTrace
+	Pairs []PairTrace
 }
 
 // GeneratingSet executes Algorithm 1 of the paper: it builds a generating
@@ -79,12 +79,7 @@ type Trace struct {
 // of a pair against a resource is a word-wise AND with the pair's
 // compatibility row, and every subset test is a word-wise AND-NOT.
 func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
-	opName := func(i int) string { return fmt.Sprintf("op%d", i) }
-	if tr != nil && tr.OpName != nil {
-		opName = tr.OpName
-	}
 	g := newGenset(m)
-	str := func(s *usageSet) string { return g.resource(s).StringWith(opName) }
 	cand := &g.cand
 
 	for _, p := range elementaryPairs(m) {
@@ -109,9 +104,9 @@ func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
 				// Rule 1: add the pair's usages to q in place, then restore
 				// the antichain (q may have converged onto or absorbed
 				// another resource).
-				before := ""
+				var before *Resource
 				if pt != nil {
-					before = str(q)
+					before = g.snapshot(q)
 				}
 				q.add(x0)
 				q.add(x1)
@@ -129,7 +124,7 @@ func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
 				}
 				containsBoth = true
 				if pt != nil {
-					pt.Steps = append(pt.Steps, TraceStep{Rule1, before, str(q)})
+					pt.Steps = append(pt.Steps, TraceStep{Rule1, before, g.snapshot(q)})
 				}
 			} else {
 				// Rule 2: consider a new resource = pair + compatible usages
@@ -138,17 +133,17 @@ func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
 				cand.add(x0)
 				cand.add(x1)
 				if cand.n > 2 {
-					added := g.register(cand)
+					r := g.register(cand)
 					containsBoth = true // the candidate (or its live superset) contains both
 					if pt != nil {
-						after := ""
-						if added {
-							after = str(cand)
+						var after *Resource
+						if r != nil {
+							after = g.snapshot(r)
 						}
-						pt.Steps = append(pt.Steps, TraceStep{Rule2, str(q), after})
+						pt.Steps = append(pt.Steps, TraceStep{Rule2, g.snapshot(q), after})
 					}
 				} else if pt != nil {
-					pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, str(q), ""})
+					pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, g.snapshot(q), nil})
 				}
 			}
 			cand.clear()
@@ -158,17 +153,24 @@ func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
 			// Rule 3: the pair itself becomes a new resource.
 			cand.add(x0)
 			cand.add(x1)
-			g.register(cand)
+			r := g.register(cand)
 			if pt != nil {
-				pt.Steps = append(pt.Steps, TraceStep{Rule3, "", str(cand)})
+				// The candidate is recorded even when a live superset
+				// refused it.
+				after := g.resource(cand)
+				if r != nil {
+					after = g.snapshot(r)
+				}
+				pt.Steps = append(pt.Steps, TraceStep{Rule3, nil, after})
 			}
 			cand.clear()
 		}
 		g.compact()
 
 		if pt != nil {
-			for _, r := range g.live {
-				pt.Set = append(pt.Set, str(r))
+			pt.Set = make([]*Resource, len(g.live))
+			for i, r := range g.live {
+				pt.Set[i] = g.snapshot(r)
 			}
 			tr.Pairs = append(tr.Pairs, *pt)
 		}
@@ -181,10 +183,10 @@ func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
 	for x := 0; x < m.NumOps; x++ {
 		if m.SelfOnly(x) {
 			cand.add(g.vertex(x, 0))
-			if g.register(cand) && tr != nil {
+			if r := g.register(cand); r != nil && tr != nil {
 				tr.Pairs = append(tr.Pairs, PairTrace{
 					Pair:  ElemPair{X: x, Y: x, F: 0},
-					Steps: []TraceStep{{Rule4, "", str(cand)}},
+					Steps: []TraceStep{{Rule4, nil, g.snapshot(r)}},
 				})
 			}
 			cand.clear()
@@ -194,7 +196,7 @@ func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
 
 	out := make([]*Resource, len(g.live))
 	for i, s := range g.live {
-		out[i] = g.resource(s)
+		out[i] = g.snapshot(s)
 	}
 	return out
 }
@@ -213,6 +215,9 @@ type usageSet struct {
 	// keeps the range it has written until summarize tightens it.
 	lo, hi int
 	dead   bool // dominated during the current pair; dropped by compact
+	// snap is the Resource form of this version of the set, built on
+	// first use and dropped when the set changes or is recycled.
+	snap *Resource
 }
 
 // add inserts vertex v.
@@ -221,6 +226,7 @@ func (s *usageSet) add(v int) {
 	if s.words[w]&b != 0 {
 		return
 	}
+	s.snap = nil
 	s.words[w] |= b
 	s.sig |= 1 << (w & 63)
 	if s.lo > s.hi { // empty and nothing written
@@ -377,22 +383,23 @@ func (s *usageSet) summarize() {
 }
 
 // register summarizes the scratch candidate c and inserts a copy of it
-// into the live set, maintaining the set as an antichain under usage-set
-// inclusion: c is discarded when a live superset already exists (the
-// superset serves as the growth seed in Theorem 1's induction), and live
-// subsets of c die (they are dominated — their generated latencies are a
-// subset of c's, so the final pruning would remove them anyway). This
-// keeps the generating set near the true number of maximal resources
-// instead of accumulating combinatorially many submaximal intermediates
-// on dense machines.
-func (g *genset) register(c *usageSet) bool {
+// into the live set, returning the copy (nil when c is discarded). It
+// maintains the set as an antichain under usage-set inclusion: c is
+// discarded when a live superset already exists (the superset serves as
+// the growth seed in Theorem 1's induction), and live subsets of c die
+// (they are dominated — their generated latencies are a subset of c's,
+// so the final pruning would remove them anyway). This keeps the
+// generating set near the true number of maximal resources instead of
+// accumulating combinatorially many submaximal intermediates on dense
+// machines.
+func (g *genset) register(c *usageSet) *usageSet {
 	c.summarize()
 	for _, q := range g.live {
 		if q.dead {
 			continue
 		}
 		if c.subsetOf(q) {
-			return false
+			return nil
 		}
 		if q.subsetOf(c) {
 			q.dead = true
@@ -407,7 +414,7 @@ func (g *genset) register(c *usageSet) bool {
 	copy(r.words[c.lo:c.hi+1], c.words[c.lo:c.hi+1])
 	r.n, r.sig, r.lo, r.hi = c.n, c.sig, c.lo, c.hi
 	g.live = append(g.live, r)
-	return true
+	return r
 }
 
 // compact drops dead resources from the live set, keeping creation order,
@@ -420,11 +427,20 @@ func (g *genset) compact() {
 			continue
 		}
 		clear(r.words[r.lo : r.hi+1])
-		r.dead = false
+		r.dead, r.snap = false, nil
 		g.free = append(g.free, r)
 	}
 	clear(g.live[len(out):])
 	g.live = out
+}
+
+// snapshot returns the immutable Resource form of live set s, converting
+// it once per version.
+func (g *genset) snapshot(s *usageSet) *Resource {
+	if s.snap == nil {
+		s.snap = g.resource(s)
+	}
+	return s.snap
 }
 
 // resource converts s to a Resource with sorted encoded usages.

@@ -72,6 +72,23 @@ func TestGeneratingSetAllocs(t *testing.T) {
 	}
 }
 
+// TestGeneratingSetTracedAllocs bounds a traced generating set of the
+// Cydra 5 class matrix (3,049 pairs, 236,240 steps): the trace records
+// one Resource per resource version and shares it between steps and
+// per-pair sets, where rendering every step and set as strings took
+// about 10.8 million allocations.
+func TestGeneratingSetTracedAllocs(t *testing.T) {
+	cm := cydra5ClassMatrix()
+	const limit = 100000
+	n := testing.AllocsPerRun(1, func() {
+		var tr Trace
+		GeneratingSet(cm, &tr)
+	})
+	if n > limit {
+		t.Errorf("traced GeneratingSet(Cydra 5) = %.0f allocs, want <= %d", n, limit)
+	}
+}
+
 var genSink []*Resource
 
 func BenchmarkGeneratingSetCydra5(b *testing.B) {

@@ -38,8 +38,6 @@ type Result struct {
 	// (each op carries its class's reduced table); AltGroup mirrors the
 	// input so check-with-alt keeps working.
 	Reduced *resmodel.Expanded
-	// Trace, when requested, records the generating-set construction.
-	Trace *Trace
 
 	// Verification is expensive (it recomputes two forbidden-latency
 	// matrices) and its outcome is immutable, so it runs once per Result;
@@ -51,15 +49,6 @@ type Result struct {
 // Reduce runs the full three-step reduction of the paper on an expanded
 // machine description.
 func Reduce(e *resmodel.Expanded, obj Objective) *Result {
-	return reduce(e, obj, false)
-}
-
-// ReduceTraced is Reduce with Figure-3-style trace collection enabled.
-func ReduceTraced(e *resmodel.Expanded, obj Objective) *Result {
-	return reduce(e, obj, true)
-}
-
-func reduce(e *resmodel.Expanded, obj Objective, traced bool) *Result {
 	if err := obj.Validate(); err != nil {
 		panic(err)
 	}
@@ -88,14 +77,7 @@ func reduce(e *resmodel.Expanded, obj Objective, traced bool) *Result {
 	r.ClassMatrix = r.Matrix.Collapse(r.Classes)
 	endStage("fmatrix")
 
-	var tr *Trace
-	if traced {
-		tr = &Trace{OpName: func(c int) string {
-			return e.Ops[r.Classes.Rep[c]].Name
-		}}
-	}
-	gen := GeneratingSet(r.ClassMatrix, tr)
-	r.Trace = tr
+	gen := GeneratingSet(r.ClassMatrix, nil)
 	r.GenSetSize = len(gen)
 	endStage("genset")
 	pruned := Prune(r.ClassMatrix, gen)

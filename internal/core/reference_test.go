@@ -99,8 +99,9 @@ func (r *refResource) add(u uint32) {
 
 func (r *refResource) NumUses() int { return len(r.uses) }
 
-func (r *refResource) StringWith(opName func(int) string) string {
-	return (&Resource{uses: r.uses}).StringWith(opName)
+// snapshot copies the current usages into a Resource for the trace.
+func (r *refResource) snapshot() *Resource {
+	return &Resource{uses: slices.Clone(r.uses)}
 }
 
 // refCompat reports whether two usages may coexist in one synthesized
@@ -113,13 +114,9 @@ func refCompat(m *forbidden.Matrix, a, b uint32) bool {
 
 // generatingSetReference is the pre-rewrite GeneratingSet: resources are
 // sorted usage slices, dominated ones are tombstoned in one creation list
-// that every scan walks, and subset tests are linear merges.
+// that every scan walks, and subset tests are linear merges. A traced run
+// records a fresh copy of every resource it names.
 func generatingSetReference(m *forbidden.Matrix, tr *Trace) []*Resource {
-	opName := func(i int) string { return fmt.Sprintf("op%d", i) }
-	if tr != nil && tr.OpName != nil {
-		opName = tr.OpName
-	}
-
 	var G []*refResource
 
 	// subsetOfRes reports whether every usage of a is in b: a linear merge
@@ -201,9 +198,9 @@ func generatingSetReference(m *forbidden.Matrix, tr *Trace) []*Resource {
 				// Rule 1: add the pair's usages to q in place, then restore
 				// the antichain (q may have converged onto or absorbed
 				// another resource).
-				before := ""
+				var before *Resource
 				if pt != nil {
-					before = q.StringWith(opName)
+					before = q.snapshot()
 				}
 				q.add(u0)
 				q.add(u1)
@@ -221,7 +218,7 @@ func generatingSetReference(m *forbidden.Matrix, tr *Trace) []*Resource {
 				}
 				containsBoth = true
 				if pt != nil {
-					pt.Steps = append(pt.Steps, TraceStep{Rule1, before, q.StringWith(opName)})
+					pt.Steps = append(pt.Steps, TraceStep{Rule1, before, q.snapshot()})
 				}
 			default:
 				// Rule 2: consider a new resource = pair + compatible usages
@@ -232,14 +229,14 @@ func generatingSetReference(m *forbidden.Matrix, tr *Trace) []*Resource {
 					added := register(nr)
 					containsBoth = true // nr (or its live duplicate) contains both
 					if pt != nil {
-						after := ""
+						var after *Resource
 						if added {
-							after = nr.StringWith(opName)
+							after = nr.snapshot()
 						}
-						pt.Steps = append(pt.Steps, TraceStep{Rule2, q.StringWith(opName), after})
+						pt.Steps = append(pt.Steps, TraceStep{Rule2, q.snapshot(), after})
 					}
 				} else if pt != nil {
-					pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, q.StringWith(opName), ""})
+					pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, q.snapshot(), nil})
 				}
 			}
 		}
@@ -249,14 +246,14 @@ func generatingSetReference(m *forbidden.Matrix, tr *Trace) []*Resource {
 			nr := newRefResource(u0, u1)
 			register(nr)
 			if pt != nil {
-				pt.Steps = append(pt.Steps, TraceStep{Rule3, "", nr.StringWith(opName)})
+				pt.Steps = append(pt.Steps, TraceStep{Rule3, nil, nr.snapshot()})
 			}
 		}
 
 		if pt != nil {
 			for _, r := range G {
 				if !r.dead {
-					pt.Set = append(pt.Set, r.StringWith(opName))
+					pt.Set = append(pt.Set, r.snapshot())
 				}
 			}
 			tr.Pairs = append(tr.Pairs, *pt)
@@ -273,7 +270,7 @@ func generatingSetReference(m *forbidden.Matrix, tr *Trace) []*Resource {
 			if register(nr) && tr != nil {
 				tr.Pairs = append(tr.Pairs, PairTrace{
 					Pair:  ElemPair{X: x, Y: x, F: 0},
-					Steps: []TraceStep{{Rule4, "", nr.StringWith(opName)}},
+					Steps: []TraceStep{{Rule4, nil, nr.snapshot()}},
 				})
 			}
 		}
@@ -565,12 +562,7 @@ func TestGeneratingSetMatchesReference(t *testing.T) {
 		if cm.NumOps > 64 {
 			manyClasses++
 		}
-		names := make([]string, cm.NumOps)
-		for i := range names {
-			names[i] = fmt.Sprintf("op%d", i)
-		}
-		opName := func(i int) string { return names[i] }
-		gotTr, wantTr := Trace{OpName: opName}, Trace{OpName: opName}
+		var gotTr, wantTr Trace
 		got, want := GeneratingSet(cm, &gotTr), generatingSetReference(cm, &wantTr)
 		if !sameResources(got, want) {
 			t.Fatalf("%s: generating set\n got %v\nwant %v", c.name, usesOf(got), usesOf(want))
@@ -583,8 +575,9 @@ func TestGeneratingSetMatchesReference(t *testing.T) {
 		}
 		for i, w := range wantTr.Pairs {
 			g := gotTr.Pairs[i]
-			if g.Pair != w.Pair || !slices.Equal(g.Steps, w.Steps) || !slices.Equal(g.Set, w.Set) {
-				t.Fatalf("%s: trace pair %d\n got %+v\nwant %+v", c.name, i, g, w)
+			if g.Pair != w.Pair || !slices.EqualFunc(g.Steps, w.Steps, sameStep) || !sameResources(g.Set, w.Set) {
+				t.Fatalf("%s: trace pair %d\n got %v %v set %v\nwant %v %v set %v", c.name, i,
+					g.Pair, stepUses(g.Steps), usesOf(g.Set), w.Pair, stepUses(w.Steps), usesOf(w.Set))
 			}
 		}
 	}
@@ -594,21 +587,36 @@ func TestGeneratingSetMatchesReference(t *testing.T) {
 }
 
 func sameResources(a, b []*Resource) bool {
-	if len(a) != len(b) {
-		return false
+	return slices.EqualFunc(a, b, sameResource)
+}
+
+// sameResource compares usage slices; nil (no resource) equals only nil.
+func sameResource(a, b *Resource) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	for i := range a {
-		if !slices.Equal(a[i].uses, b[i].uses) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.uses, b.uses)
+}
+
+func sameStep(a, b TraceStep) bool {
+	return a.Rule == b.Rule && sameResource(a.Before, b.Before) && sameResource(a.After, b.After)
 }
 
 func usesOf(G []*Resource) [][]uint32 {
 	out := make([][]uint32, len(G))
 	for i, r := range G {
-		out[i] = r.uses
+		if r != nil {
+			out[i] = r.uses
+		}
+	}
+	return out
+}
+
+// stepUses lists each step as its rule and its Before and After usages.
+func stepUses(steps []TraceStep) []string {
+	out := make([]string, len(steps))
+	for i, st := range steps {
+		out[i] = fmt.Sprintf("%d %v", st.Rule, usesOf([]*Resource{st.Before, st.After}))
 	}
 	return out
 }

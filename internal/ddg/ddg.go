@@ -119,10 +119,27 @@ func (g *Graph) feasibleII(ii int, dist []int64) bool {
 }
 
 func feasibleII(n int, edges []Edge, ii int, dist []int64) bool {
-	const neg = math.MinInt64 / 4
+	LongestPaths(dist, n, edges, ii)
+	for i := 0; i < n; i++ {
+		if dist[i*n+i] > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// NoPath marks "no path" in a LongestPaths matrix; quarter-range so
+// guarded additions cannot wrap.
+const NoPath = math.MinInt64 / 4
+
+// LongestPaths fills dist (row-major n*n, fully overwritten) with the
+// all-pairs longest path over n nodes under edge weight Delay - II*Dist,
+// parallel edges folded by max and NoPath where no path exists: a
+// Floyd-Warshall over guarded additions.
+func LongestPaths(dist []int64, n int, edges []Edge, ii int) {
 	dist = dist[:n*n]
 	for i := range dist {
-		dist[i] = neg
+		dist[i] = NoPath
 	}
 	for _, e := range edges {
 		w := int64(e.Delay) - int64(ii)*int64(e.Dist)
@@ -134,12 +151,12 @@ func feasibleII(n int, edges []Edge, ii int, dist []int64) bool {
 		dk := dist[k*n : k*n+n]
 		for i := 0; i < n; i++ {
 			dik := dist[i*n+k]
-			if dik == neg {
+			if dik == NoPath {
 				continue
 			}
 			di := dist[i*n : i*n+n]
 			for j := 0; j < n; j++ {
-				if dk[j] == neg {
+				if dk[j] == NoPath {
 					continue
 				}
 				if v := dik + dk[j]; v > di[j] {
@@ -148,12 +165,6 @@ func feasibleII(n int, edges []Edge, ii int, dist []int64) bool {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if dist[i*n+i] > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // UsageCounter abstracts the machine information ResMII needs: the

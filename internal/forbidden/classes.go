@@ -2,7 +2,6 @@ package forbidden
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/resmodel"
 )
 
 // Classes is a partition of a machine's (expanded) operations into
@@ -77,29 +76,6 @@ func (m *Matrix) Collapse(c *Classes) *Matrix {
 		for b := 0; b < n; b++ {
 			out.sets[a][b] = m.sets[c.Rep[a]][c.Rep[b]].Clone()
 		}
-	}
-	return out
-}
-
-// ClassMachine builds an expanded machine holding one operation per class
-// (the class representative's reservation table, name and latency). The
-// class-level machine is what the reduction algorithm consumes; its
-// operation indices are class ids.
-func ClassMachine(e *resmodel.Expanded, c *Classes) *resmodel.Expanded {
-	out := &resmodel.Expanded{
-		Name:      e.Name + ".classes",
-		Resources: append([]string(nil), e.Resources...),
-	}
-	for ci, rep := range c.Rep {
-		o := e.Ops[rep]
-		out.Ops = append(out.Ops, resmodel.ExpandedOp{
-			Name:    o.Name,
-			Orig:    ci,
-			Alt:     0,
-			Latency: o.Latency,
-			Table:   o.Table.Clone(),
-		})
-		out.AltGroup = append(out.AltGroup, []int{ci})
 	}
 	return out
 }

@@ -203,9 +203,3 @@ func (m *Matrix) SelfOnly(x int) bool {
 	}
 	return true
 }
-
-// UsesResources reports whether operation x has any forbidden latency at
-// all, which (for a valid machine) holds iff it uses at least one resource.
-func (m *Matrix) UsesResources(x int) bool {
-	return !m.sets[x][x].Empty()
-}

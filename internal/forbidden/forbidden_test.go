@@ -77,7 +77,7 @@ func TestForbiddenQueries(t *testing.T) {
 	}
 }
 
-func TestSelfOnlyAndUsesResources(t *testing.T) {
+func TestSelfOnly(t *testing.T) {
 	b := resmodel.NewBuilder("m")
 	b.Resources("ra", "rb")
 	b.Op("lonely", 1).Use("ra", 0) // conflicts only with itself at 0
@@ -95,12 +95,6 @@ func TestSelfOnlyAndUsesResources(t *testing.T) {
 	}
 	if m.SelfOnly(e.OpIndex("x")) {
 		t.Errorf("SelfOnly(x) = true, but x conflicts with y")
-	}
-	if m.UsesResources(e.OpIndex("none")) {
-		t.Errorf("UsesResources(none) = true")
-	}
-	if !m.UsesResources(e.OpIndex("lonely")) {
-		t.Errorf("UsesResources(lonely) = false")
 	}
 }
 
@@ -166,6 +160,27 @@ func TestClassesFigure1Distinct(t *testing.T) {
 	}
 }
 
+// classMachine builds an expanded machine holding one operation per class
+// (the class representative's reservation table, name and latency), whose
+// operation indices are class ids: the oracle Collapse must match.
+func classMachine(e *resmodel.Expanded, c *Classes) *resmodel.Expanded {
+	out := &resmodel.Expanded{
+		Name:      e.Name + ".classes",
+		Resources: append([]string(nil), e.Resources...),
+	}
+	for ci, rep := range c.Rep {
+		o := e.Ops[rep]
+		out.Ops = append(out.Ops, resmodel.ExpandedOp{
+			Name:    o.Name,
+			Orig:    ci,
+			Latency: o.Latency,
+			Table:   o.Table.Clone(),
+		})
+		out.AltGroup = append(out.AltGroup, []int{ci})
+	}
+	return out
+}
+
 func TestCollapseMatchesClassMachine(t *testing.T) {
 	b := resmodel.NewBuilder("m")
 	b.Resources("alu", "wb")
@@ -177,14 +192,14 @@ func TestCollapseMatchesClassMachine(t *testing.T) {
 	c := m.ComputeClasses()
 
 	collapsed := m.Collapse(c)
-	cm := ClassMachine(e, c)
+	cm := classMachine(e, c)
 	recomputed := Compute(cm)
 	if !collapsed.Equal(recomputed) {
-		t.Fatalf("Collapse disagrees with Compute(ClassMachine): %s",
+		t.Fatalf("Collapse disagrees with Compute(classMachine): %s",
 			collapsed.Diff(recomputed, cm))
 	}
 	if len(cm.Ops) != c.NumClasses() {
-		t.Fatalf("ClassMachine ops = %d, want %d", len(cm.Ops), c.NumClasses())
+		t.Fatalf("classMachine ops = %d, want %d", len(cm.Ops), c.NumClasses())
 	}
 }
 

@@ -140,8 +140,7 @@ func (st *Strata) loopSeed(si, k int) int64 {
 // pickStratum returns the stratum the next loop is drawn from, given the
 // per-stratum counts so far: the highest-averages (D'Hondt) rule — the
 // stratum maximizing Weight/(count+1), lowest index on ties. The rule is
-// deterministic and stateless in everything but the counts, so the batch
-// helpers reproduce the stream's apportionment exactly.
+// deterministic and stateless in everything but the counts.
 func (st *Strata) pickStratum(counts []int) int {
 	best := 0
 	for i := 1; i < len(counts); i++ {
@@ -152,22 +151,12 @@ func (st *Strata) pickStratum(counts []int) int {
 	return best
 }
 
-// Counts returns how many loops each stratum contributes to the corpus
-// — the apportionment the stream's interleave realizes.
-func (st *Strata) Counts() []int {
-	counts := make([]int, len(st.Strata))
-	for n := 0; n < st.Loops; n++ {
-		counts[st.pickStratum(counts)]++
-	}
-	return counts
-}
-
 // Stream yields the corpus one loop at a time, so a 10^5..10^6-loop
 // corpus is scheduled in flat memory: the caller owns each returned
 // graph and the stream retains nothing. Each loop is generated from its
 // own seed — the retained rand.Rand is reseeded per loop — so the
 // stream's output is a pure function of the Strata value and can be
-// reproduced per stratum (StratumLoops) or in batch (GenerateStrata).
+// reproduced in batch (GenerateStrata).
 type Stream struct {
 	o       opset
 	st      Strata
@@ -246,28 +235,4 @@ func GenerateStrata(m *resmodel.Machine, st Strata) ([]*ddg.Graph, error) {
 		}
 		out = append(out, g)
 	}
-}
-
-// StratumLoops generates stratum si's share of the corpus standalone,
-// in stream order — byte-identical to the subsequence of the stream
-// belonging to that stratum. Different strata can be generated
-// concurrently: each call owns its rand.Rand and shares nothing.
-func StratumLoops(m *resmodel.Machine, st Strata, si int) ([]*ddg.Graph, error) {
-	if err := st.validate(); err != nil {
-		return nil, err
-	}
-	if si < 0 || si >= len(st.Strata) {
-		return nil, fmt.Errorf("loopgen: stratum index %d out of range [0, %d)", si, len(st.Strata))
-	}
-	o, err := resolve(m)
-	if err != nil {
-		return nil, err
-	}
-	n := st.Counts()[si]
-	rng := newFastRand(0)
-	out := make([]*ddg.Graph, n)
-	for k := 0; k < n; k++ {
-		out[k] = genStratumLoop(rng, o, &st, si, k)
-	}
-	return out, nil
 }

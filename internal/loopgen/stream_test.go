@@ -3,7 +3,6 @@ package loopgen
 import (
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/ddg"
@@ -49,108 +48,6 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 	if _, ok := s.Next(); ok {
 		t.Fatal("exhausted stream yielded another loop")
-	}
-}
-
-// TestStratumLoopsMatchStreamSubsequence pins per-stratum standalone
-// generation byte-identical to the stream's subsequence for that
-// stratum — the property that makes multi-worker stratum generation
-// reproduce the streamed corpus.
-func TestStratumLoopsMatchStreamSubsequence(t *testing.T) {
-	m := machines.Cydra5()
-	st := DefaultStrata(300)
-	batch, err := GenerateStrata(m, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := st.Counts()
-	if len(counts) != len(st.Strata) {
-		t.Fatalf("Counts returned %d entries for %d strata", len(counts), len(st.Strata))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != st.Loops {
-		t.Fatalf("Counts sums to %d, want %d", total, st.Loops)
-	}
-	// Partition the streamed sequence by stratum name prefix.
-	byName := map[string][]*ddg.Graph{}
-	for _, g := range batch {
-		name := g.Name[:len(g.Name)-7] // strip ".NNNNNN"
-		byName[name] = append(byName[name], g)
-	}
-	for si, sp := range st.Strata {
-		loops, err := StratumLoops(m, st, si)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(loops) != counts[si] {
-			t.Fatalf("stratum %s: StratumLoops returned %d loops, Counts says %d",
-				sp.Name, len(loops), counts[si])
-		}
-		sub := byName[sp.Name]
-		if len(sub) != len(loops) {
-			t.Fatalf("stratum %s: stream yielded %d loops, standalone %d",
-				sp.Name, len(sub), len(loops))
-		}
-		for k := range loops {
-			if !sameGraph(loops[k], sub[k]) {
-				t.Fatalf("stratum %s loop %d: standalone differs from stream", sp.Name, k)
-			}
-		}
-	}
-}
-
-// TestStratumLoopsParallel generates every stratum concurrently (run
-// under -race by make check) and checks the union reassembles the
-// streamed corpus — the race-freedom half of the per-stratum rng
-// satellite.
-func TestStratumLoopsParallel(t *testing.T) {
-	m := machines.Cydra5()
-	st := DefaultStrata(240)
-	results := make([][]*ddg.Graph, len(st.Strata))
-	var wg sync.WaitGroup
-	for si := range st.Strata {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			loops, err := StratumLoops(m, st, si)
-			if err != nil {
-				t.Errorf("stratum %d: %v", si, err)
-				return
-			}
-			results[si] = loops
-		}(si)
-	}
-	wg.Wait()
-	s, err := NewStream(m, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := make([]int, len(st.Strata))
-	for {
-		g, ok := s.Next()
-		if !ok {
-			break
-		}
-		matched := false
-		for si := range results {
-			k := next[si]
-			if k < len(results[si]) && sameGraph(g, results[si][k]) {
-				next[si] = k + 1
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			t.Fatalf("streamed loop %q not produced by any parallel stratum", g.Name)
-		}
-	}
-	for si, k := range next {
-		if k != len(results[si]) {
-			t.Fatalf("stratum %d: %d loops unconsumed", si, len(results[si])-k)
-		}
 	}
 }
 
@@ -214,9 +111,6 @@ func TestStrataValidation(t *testing.T) {
 		if _, err := NewStream(m, st); err == nil {
 			t.Errorf("%s: NewStream accepted invalid config", c.name)
 		}
-	}
-	if _, err := StratumLoops(m, base, len(base.Strata)); err == nil {
-		t.Error("StratumLoops accepted out-of-range stratum index")
 	}
 	if _, err := NewStream(machines.MIPS(), base); err == nil {
 		t.Error("NewStream accepted a machine without the benchmark ops")

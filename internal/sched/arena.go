@@ -30,8 +30,6 @@ type Arena struct {
 	total    query.Counters
 	sc       schedScratch
 	osc      optScratch
-	lsc      listScratch
-	mi       ModuleIssuer
 	met      *arenaObs
 }
 
@@ -102,33 +100,6 @@ func (a *Arena) Optimal(g *ddg.Graph, m *resmodel.Machine, cfg OptimalConfig) Op
 	var res OptimalResult
 	a.OptimalInto(&res, g, m, cfg)
 	return res
-}
-
-// ListScheduleInto is ListSchedule on the arena's cached linear module
-// (a ModuleIssuer over the ii=0 table).
-func (a *Arena) ListScheduleInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded) error {
-	a.mi = ModuleIssuer{M: a.module(0)}
-	return listScheduleInto(res, g, e, &a.mi, &a.lsc)
-}
-
-// ListSchedule wraps ListScheduleInto with a fresh result.
-func (a *Arena) ListSchedule(g *ddg.Graph, e *resmodel.Expanded) (ListResult, error) {
-	var res ListResult
-	err := a.ListScheduleInto(&res, g, e)
-	return res, err
-}
-
-// OperationDrivenInto is OperationDriven on the arena's cached linear
-// module.
-func (a *Arena) OperationDrivenInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded) error {
-	return operationDrivenInto(res, g, e, a.module(0), &a.lsc)
-}
-
-// OperationDriven wraps OperationDrivenInto with a fresh result.
-func (a *Arena) OperationDriven(g *ddg.Graph, e *resmodel.Expanded) (ListResult, error) {
-	var res ListResult
-	err := a.OperationDrivenInto(&res, g, e)
-	return res, err
 }
 
 // ScheduleBatch modulo-schedules every loop of a benchmark independently

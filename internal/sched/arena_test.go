@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ddg"
 	"repro/internal/loopgen"
 	"repro/internal/machines"
 	"repro/internal/obs"
@@ -136,53 +135,6 @@ func TestScheduleStreamMatchesFresh(t *testing.T) {
 		got := ScheduleStream(s.Next, m, factory, cfg, workers, 64)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: stream stats differ from fresh run\ngot:  %+v\nwant: %+v", workers, got, want)
-		}
-	}
-}
-
-// acyclicCopy strips the loop-carried edges, leaving the single-
-// iteration dependence graph the acyclic schedulers accept.
-func acyclicCopy(g *ddg.Graph) *ddg.Graph {
-	a := &ddg.Graph{Name: g.Name, Nodes: g.Nodes}
-	for _, e := range g.Edges {
-		if e.Dist == 0 {
-			a.Edges = append(a.Edges, e)
-		}
-	}
-	return a
-}
-
-// TestArenaAcyclicMatchesFresh pins the arena variants of the acyclic
-// schedulers against their fresh counterparts over a corpus, exercising
-// module reuse across consecutive graphs.
-func TestArenaAcyclicMatchesFresh(t *testing.T) {
-	m := machines.Cydra5()
-	e := m.Expand()
-	loops, err := loopgen.GenerateStrata(m, loopgen.DefaultStrata(120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	la := NewArena(discreteFactory(e))
-	oa := NewArena(discreteFactory(e))
-	for _, g := range loops {
-		ag := acyclicCopy(g)
-
-		wantL, errL := ListSchedule(ag, e, &ModuleIssuer{M: query.NewDiscrete(e, 0)})
-		gotL, gerrL := la.ListSchedule(ag, e)
-		if (errL == nil) != (gerrL == nil) {
-			t.Fatalf("%s: list error mismatch: fresh %v, arena %v", g.Name, errL, gerrL)
-		}
-		if errL == nil && !reflect.DeepEqual(gotL, wantL) {
-			t.Fatalf("%s: arena list schedule differs\narena: %+v\nfresh: %+v", g.Name, gotL, wantL)
-		}
-
-		wantO, errO := OperationDriven(ag, e, query.NewDiscrete(e, 0))
-		gotO, gerrO := oa.OperationDriven(ag, e)
-		if (errO == nil) != (gerrO == nil) {
-			t.Fatalf("%s: opdriven error mismatch: fresh %v, arena %v", g.Name, errO, gerrO)
-		}
-		if errO == nil && !reflect.DeepEqual(gotO, wantO) {
-			t.Fatalf("%s: arena opdriven schedule differs\narena: %+v\nfresh: %+v", g.Name, gotO, wantO)
 		}
 	}
 }

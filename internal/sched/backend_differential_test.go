@@ -2,7 +2,6 @@ package sched
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/automaton"
@@ -44,8 +43,7 @@ func buildModule(e *resmodel.Expanded, rep string, ii int) (query.Module, error)
 // suite for the query backends and the paper's §2 comparator:
 // scheduling 200 basic blocks over the reduced PA-RISC description must
 // produce byte-identical schedules on the automaton pair module and the
-// discrete and bitvector backends — sequentially and through striped
-// per-worker arenas at 1 and 8 workers — and the backends must agree on
+// discrete and bitvector backends, and the backends must agree on
 // every query-count statistic (calls and naive-equivalent range probes;
 // only the work per probe may differ).
 func TestAcyclicCorpusBackendsIdentical(t *testing.T) {
@@ -103,37 +101,6 @@ func TestAcyclicCorpusBackendsIdentical(t *testing.T) {
 			t.Errorf("%s: query-count statistics differ from discrete\n%s: calls=%d ff=%d ffa=%d probes=%d\ndiscrete: calls=%d ff=%d ffa=%d probes=%d",
 				rep, rep, c.TotalCalls(), c.FirstFreeCalls, c.FirstFreeWithAltCalls, c.FirstFreeCycles,
 				refCtr.TotalCalls(), refCtr.FirstFreeCalls, refCtr.FirstFreeWithAltCalls, refCtr.FirstFreeCycles)
-		}
-	}
-
-	// Striped per-worker arenas: module reuse via Reset must not change
-	// a single placement at any worker count.
-	for _, rep := range backends {
-		factory := selectFactory(e, rep)
-		for _, workers := range []int{1, 8} {
-			got := make([]ListResult, len(dags))
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					a := NewArena(factory)
-					for i := w; i < len(dags); i += workers {
-						r, err := a.OperationDriven(dags[i], e)
-						if err != nil {
-							panic(err)
-						}
-						got[i] = r
-					}
-				}(w)
-			}
-			wg.Wait()
-			for i := range dags {
-				if !reflect.DeepEqual(got[i], ref[i]) {
-					t.Fatalf("%s workers=%d %s: arena schedule differs from discrete reference\narena: %+v\nref:   %+v",
-						rep, workers, dags[i].Name, got[i], ref[i])
-				}
-			}
 		}
 	}
 }

@@ -62,30 +62,10 @@ type ListResult struct {
 	Cycles   int // cycles walked by the issuer
 }
 
-// listScratch holds the reusable buffers of the acyclic schedulers
-// (ListSchedule and OperationDriven), the acyclic counterpart of
-// schedScratch. The zero value is ready to use.
-type listScratch struct {
-	prio         []int
-	preds, succs edgeCSR
-	time         []int
-	placed       []bool
-	ready        []int
-	order        []int
-	inDeg        []int
-}
-
-// resetListResult is resetResult for acyclic schedules.
-func resetListResult(res *ListResult, n int) {
-	res.Time = intsZero(res.Time, n)
-	res.Alt = intsZero(res.Alt, n)
-	res.Makespan, res.Cycles = 0, 0
-}
-
 // sortByPrio sorts ready by (priority descending, node index ascending)
 // — the total order the schedulers' previous sort.Slice comparators
 // induced, so any correct sort yields the identical permutation. The
-// insertion sort keeps arena-path scheduling allocation-free.
+// insertion sort keeps it allocation-free.
 func sortByPrio(ready, prio []int) {
 	for i := 1; i < len(ready); i++ {
 		v := ready[i]
@@ -104,48 +84,36 @@ func sortByPrio(ready, prio []int) {
 // greedy list scheduler classically paired with automaton-based
 // contention detection.
 func ListSchedule(g *ddg.Graph, e *resmodel.Expanded, iss Issuer) (ListResult, error) {
-	var lsc listScratch
-	var res ListResult
-	err := listScheduleInto(&res, g, e, iss, &lsc)
-	return res, err
-}
-
-// listScheduleInto is ListSchedule over caller-owned result and scratch
-// buffers — the arena path. Behaviour is identical to the fresh path,
-// which merely passes transient buffers.
-func listScheduleInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, iss Issuer, lsc *listScratch) error {
 	n := len(g.Nodes)
-	resetListResult(res, n)
+	res := newListResult(n)
 	for _, edge := range g.Edges {
 		if edge.Dist != 0 {
-			return fmt.Errorf("sched: ListSchedule requires an acyclic graph; edge %d->%d has dist %d",
+			return res, fmt.Errorf("sched: ListSchedule requires an acyclic graph; edge %d->%d has dist %d",
 				edge.From, edge.To, edge.Dist)
 		}
 	}
 	if err := g.Validate(); err != nil {
-		return err
+		return res, err
 	}
 	// Critical-path priority (acyclic heights).
-	lsc.succs.build(g, false)
-	lsc.prio = intsZero(lsc.prio, n)
-	heightsInto(lsc.prio, 1, &lsc.succs)
-	prio := lsc.prio
-	lsc.preds.build(g, true)
-	preds := &lsc.preds
+	var succs, preds edgeCSR
+	succs.build(g, false)
+	prio := make([]int, n)
+	heightsInto(prio, 1, &succs)
+	preds.build(g, true)
 
-	lsc.time = intsZero(lsc.time, n)
-	lsc.placed = boolsZero(lsc.placed, n)
-	time, placed := lsc.time, lsc.placed
+	time, placed := make([]int, n), make([]bool, n)
 	for i := range time {
 		time[i] = -1
 	}
+	var ready []int
 	remaining := n
 	for cycle := 0; remaining > 0; cycle++ {
 		// Safety valve: a correct issuer always makes progress eventually.
 		if cycle > 100000 {
-			return fmt.Errorf("sched: ListSchedule made no progress by cycle %d", cycle)
+			return res, fmt.Errorf("sched: ListSchedule made no progress by cycle %d", cycle)
 		}
-		ready := lsc.ready[:0]
+		ready = ready[:0]
 		for v := 0; v < n; v++ {
 			if placed[v] {
 				continue
@@ -165,7 +133,6 @@ func listScheduleInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, iss I
 				ready = append(ready, v)
 			}
 		}
-		lsc.ready = ready[:0] // retain grown capacity
 		sortByPrio(ready, prio)
 		issued := false
 		for _, v := range ready {
@@ -193,7 +160,7 @@ func listScheduleInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, iss I
 		// per-cycle state transition cannot be skipped).
 		if !issued && remaining > 0 {
 			if mi, ok := iss.(*ModuleIssuer); ok {
-				next := fastForwardTarget(g, e, preds, time, placed, mi.M, cycle)
+				next := fastForwardTarget(g, e, &preds, time, placed, mi.M, cycle)
 				if next > cycle+1 {
 					mi.cycle = next
 					cycle = next - 1
@@ -207,7 +174,12 @@ func listScheduleInto(res *ListResult, g *ddg.Graph, e *resmodel.Expanded, iss I
 			res.Makespan = end
 		}
 	}
-	return nil
+	return res, nil
+}
+
+// newListResult returns an all-zero schedule of n nodes.
+func newListResult(n int) ListResult {
+	return ListResult{Time: make([]int, n), Alt: make([]int, n)}
 }
 
 // fastForwardTarget returns the earliest cycle after an empty cycle at

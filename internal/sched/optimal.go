@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"math"
-
 	"repro/internal/ddg"
 	"repro/internal/parallel"
 	"repro/internal/query"
@@ -78,9 +76,8 @@ const (
 	// (tasks * floor) is deterministic.
 	optMinTaskNodes = 256
 
-	// optNegInf marks "no path" in the W and D matrices; quarter-range
-	// so guarded additions cannot wrap.
-	optNegInf = math.MinInt64 / 4
+	// optNegInf marks "no path" in the W and D matrices.
+	optNegInf = ddg.NoPath
 )
 
 // OptimalConfig controls the exact scheduler.
@@ -535,7 +532,7 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	orderByHeight(r.order, ss.height)
 
 	r.w = growInt64(r.w, n*n)
-	buildW(r.w, g, ii)
+	ddg.LongestPaths(r.w, n, g.Edges, ii)
 
 	st := &sc.st
 	st.attach(r, mod)
@@ -669,38 +666,6 @@ func orderByHeight(order, height []int) {
 			j--
 		}
 		order[j+1] = v
-	}
-}
-
-// buildW fills w with the all-pairs longest dependence path at this II
-// (edge weight Delay - II*Dist, parallel edges folded by max), the
-// Floyd-Warshall over guarded additions ddg uses for feasibility.
-func buildW(w []int64, g *ddg.Graph, ii int) {
-	n := len(g.Nodes)
-	w = w[:n*n]
-	for i := range w {
-		w[i] = optNegInf
-	}
-	for _, e := range g.Edges {
-		wt := int64(e.Delay) - int64(ii)*int64(e.Dist)
-		if wt > w[e.From*n+e.To] {
-			w[e.From*n+e.To] = wt
-		}
-	}
-	for k := 0; k < n; k++ {
-		kn := k * n
-		for i := 0; i < n; i++ {
-			ik := w[i*n+k]
-			if ik == optNegInf {
-				continue
-			}
-			row := w[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				if kj := w[kn+j]; kj != optNegInf && ik+kj > row[j] {
-					row[j] = ik + kj
-				}
-			}
-		}
 	}
 }
 

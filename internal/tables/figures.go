@@ -73,13 +73,17 @@ func Figure1() string {
 }
 
 // Figure3 renders the step-by-step construction of the generating set for
-// the example machine (Rules 1-4 of Algorithm 1).
+// the example machine (Rules 1-4 of Algorithm 1): Algorithm 1 is rerun on
+// the reduction's class matrix with a trace, and each traced resource is
+// rendered with its class representatives' operation names.
 func Figure3() string {
 	m := machines.Example()
 	e := m.Expand()
-	res := core.ReduceTraced(e, core.Objective{Kind: core.ResUses})
-	tr := res.Trace
+	res := core.CachedReduce(e, core.Objective{Kind: core.ResUses})
+	var tr core.Trace
+	core.GeneratingSet(res.ClassMatrix, &tr)
 	opName := func(c int) string { return e.Ops[res.Classes.Rep[c]].Name }
+	str := func(r *core.Resource) string { return r.StringWith(opName) }
 
 	var b strings.Builder
 	b.WriteString("Figure 3: Building the generating set for the example machine\n\n")
@@ -88,17 +92,17 @@ func Figure3() string {
 			'a'+i, pt.Pair.F, opName(pt.Pair.X), opName(pt.Pair.Y))
 		for _, st := range pt.Steps {
 			switch {
-			case st.Before == "" && st.After != "":
-				fmt.Fprintf(&b, "     %v -> create %s\n", st.Rule, st.After)
-			case st.After == "":
-				fmt.Fprintf(&b, "     %v against %s\n", st.Rule, st.Before)
+			case st.Before == nil && st.After != nil:
+				fmt.Fprintf(&b, "     %v -> create %s\n", st.Rule, str(st.After))
+			case st.After == nil:
+				fmt.Fprintf(&b, "     %v against %s\n", st.Rule, str(st.Before))
 			default:
-				fmt.Fprintf(&b, "     %v: %s -> %s\n", st.Rule, st.Before, st.After)
+				fmt.Fprintf(&b, "     %v: %s -> %s\n", st.Rule, str(st.Before), str(st.After))
 			}
 		}
 		b.WriteString("   generating set now:\n")
 		for _, r := range pt.Set {
-			fmt.Fprintf(&b, "     %s\n", r)
+			fmt.Fprintf(&b, "     %s\n", str(r))
 		}
 		b.WriteByte('\n')
 	}
